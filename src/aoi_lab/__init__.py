@@ -5,18 +5,12 @@ moment calibration, stochastic-order checks, and figure-data export."""
 __version__ = "1.0.0"
 
 from .core import (
-    AoiSupport,
     CcdfGrid,
     GenerationSchedule,
-    JointTailOracle,
     TimeDecomposition,
-    aoi_ccdf,
-    aoi_path,
     aoi_path_matrix,
-    aoi_support,
+    block_length,
     decompose_time,
-    point_mass_oracle,
-    theta,
 )
 from .errors import AoiLabError, CalibrationError, EvaluationError, QuadratureError
 from .links import (
@@ -26,19 +20,14 @@ from .links import (
     CorrelationMode,
     DelayModel,
     LinkFunction,
-    build_model,
     calibrate_kappa,
     calibrate_marginal,
     g_apply,
     g_inverse,
     lag_covariance,
     marginal_moments,
-    ou_transition,
-    thresholds,
 )
 from .orthant import (
-    ConditionalTail,
-    CovarianceSpec,
     OuChain,
     QuadratureSpec,
     mvn_orthant_mc,
@@ -50,17 +39,17 @@ from .orthant import (
 )
 from .outputs import (
     DEFAULT_LEVELS,
+    AoiSupport,
     DominanceReport,
     HeatmapGrid,
     PercentileRow,
     TimeAverageEvaluator,
+    aoi_support,
     ccdf_profile,
     dominance_check,
     exact_ccdf_grid,
-    exact_oracle,
     heatmap,
     percentiles,
-    time_averaged_ccdf,
     write_ccdf_csv,
     write_heatmap_csv,
     write_meta_json,
@@ -76,22 +65,17 @@ from .simulate import (
     simulate_aoi_paths,
     simulate_empirical_ccdf,
 )
+from .cli import RunConfig
 
 __all__ = [
     "__version__",
     # core
-    "AoiSupport",
     "CcdfGrid",
     "GenerationSchedule",
-    "JointTailOracle",
     "TimeDecomposition",
-    "aoi_ccdf",
-    "aoi_path",
     "aoi_path_matrix",
-    "aoi_support",
+    "block_length",
     "decompose_time",
-    "point_mass_oracle",
-    "theta",
     # errors
     "AoiLabError",
     "CalibrationError",
@@ -104,18 +88,13 @@ __all__ = [
     "CorrelationMode",
     "DelayModel",
     "LinkFunction",
-    "build_model",
     "calibrate_kappa",
     "calibrate_marginal",
     "g_apply",
     "g_inverse",
     "lag_covariance",
     "marginal_moments",
-    "ou_transition",
-    "thresholds",
     # orthant
-    "ConditionalTail",
-    "CovarianceSpec",
     "OuChain",
     "QuadratureSpec",
     "mvn_orthant_mc",
@@ -126,17 +105,17 @@ __all__ = [
     "std_normal_tail",
     # outputs
     "DEFAULT_LEVELS",
+    "AoiSupport",
     "DominanceReport",
     "HeatmapGrid",
     "PercentileRow",
     "TimeAverageEvaluator",
+    "aoi_support",
     "ccdf_profile",
     "dominance_check",
     "exact_ccdf_grid",
-    "exact_oracle",
     "heatmap",
     "percentiles",
-    "time_averaged_ccdf",
     "write_ccdf_csv",
     "write_heatmap_csv",
     "write_meta_json",
@@ -150,4 +129,6 @@ __all__ = [
     "sample_ou_on_grid",
     "simulate_aoi_paths",
     "simulate_empirical_ccdf",
+    # cli
+    "RunConfig",
 ]

@@ -14,14 +14,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import GenerationSchedule
-from .errors import CalibrationError, EvaluationError
+from .errors import AoiLabError, CalibrationError, EvaluationError
 from .links import (
     CalibrationTarget,
     CorrelationMode,
@@ -98,7 +98,6 @@ class RunConfig:
     delta: float = 0.02
     quad_m: int = 400
     quad_l: float = 8.0
-    quad_rule: str = "gauss-legendre"
     n_paths: int = 500
     n_saved_paths: int = 500
     seed: int = 1
@@ -142,7 +141,7 @@ class RunConfig:
             "t_grid": asdict(self.t_grid),
             "x_grid": asdict(self.x_grid),
             "delta": self.delta,
-            "quadrature": {"m": self.quad_m, "L": self.quad_l, "rule": self.quad_rule},
+            "quadrature": {"m": self.quad_m, "L": self.quad_l},
             "simulation": {
                 "n_paths": self.n_paths,
                 "n_saved_paths": self.n_saved_paths,
@@ -169,6 +168,12 @@ class RunConfig:
             v = src.get(key)
             return None if v is None else float(v)
 
+        # Gauss-Legendre is the only rule; the key is accepted for configs
+        # that name it.
+        rule = quad.get("rule", "gauss-legendre")
+        if rule != "gauss-legendre":
+            raise UsageError(f"unknown quadrature rule {rule!r}")
+
         return cls(
             link_kind=link.get("kind", "shifted-lognormal"),
             x_min=float(link.get("x_min", 0.5)),
@@ -185,7 +190,6 @@ class RunConfig:
             delta=float(d.get("delta", 0.02)),
             quad_m=int(quad.get("m", 400)),
             quad_l=float(quad.get("L", 8.0)),
-            quad_rule=quad.get("rule", "gauss-legendre"),
             n_paths=int(sim.get("n_paths", 500)),
             n_saved_paths=int(sim.get("n_saved_paths", 500)),
             seed=int(sim.get("seed", 1)),
@@ -196,38 +200,32 @@ class RunConfig:
     # -- model construction ----------------------------------------------
 
     def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(m=self.quad_m, L=self.quad_l, rule=self.quad_rule)
-
-    def target(self) -> CalibrationTarget:
-        try:
-            return CalibrationTarget(
-                mu=self.mu, s=self.s, x_min=self.x_min, c=self.c
-            )
-        except ValueError as exc:
-            raise CalibrationError(f"infeasible target: {exc}") from exc
-
-    def link(self) -> LinkFunction:
-        if self.mu_hat is not None:
-            return LinkFunction(
-                kind=self.link_kind,
-                x_min=self.x_min,
-                mu_hat=self.mu_hat,
-                s_hat=self.s_hat,
-            )
-        mu_hat, s_hat = calibrate_marginal(self.target(), self.link_kind)
-        return LinkFunction(
-            kind=self.link_kind, x_min=self.x_min, mu_hat=mu_hat, s_hat=s_hat
-        )
+        return QuadratureSpec(m=self.quad_m, L=self.quad_l)
 
     def model(self) -> DelayModel:
-        link = self.link()
-        if self.mode == "ou":
+        """Calibrate what the config gives as targets and assemble the delay
+        model.  In ou mode, c = 0 selects the independent limit and
+        c = inf the frozen limit."""
+        mu_hat, s_hat = self.mu_hat, self.s_hat
+        if mu_hat is None:
+            try:
+                target = CalibrationTarget(mu=self.mu, s=self.s, x_min=self.x_min)
+            except ValueError as exc:
+                raise CalibrationError(f"infeasible target: {exc}") from exc
+            mu_hat, s_hat = calibrate_marginal(target, self.link_kind)
+        link = LinkFunction(self.link_kind, self.x_min, mu_hat, s_hat)
+        mode = self.mode
+        if mode == "ou" and self.c == 0:
+            mode = "iid"
+        elif mode == "ou" and self.c == math.inf:
+            mode = "frozen"
+        if mode == "ou":
             kappa = self.kappa
             if kappa is None:
                 kappa = calibrate_kappa(link, self.c)
             corr = CorrelationMode(kind="ou", kappa=kappa, c=self.c)
         else:
-            corr = CorrelationMode(kind=self.mode)
+            corr = CorrelationMode(kind=mode)
         return DelayModel(link=link, correlation=corr, schedule=GenerationSchedule(self.tau))
 
 
@@ -278,7 +276,7 @@ def _meta(cfg: RunConfig, command: str, started: float, extra: dict | None = Non
         "config": cfg.to_dict(),
         "engine_version": __version__,
         "seed": cfg.seed,
-        "quadrature": {"m": cfg.quad_m, "L": cfg.quad_l, "rule": cfg.quad_rule},
+        "quadrature": {"m": cfg.quad_m, "L": cfg.quad_l},
         "wall_time_s": time.time() - started,
     }
     if extra:
@@ -301,19 +299,19 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     started = time.time()
     if cfg.mu is None:
         raise CalibrationError("calibrate requires target-based link config (mu, s)")
-    mu_hat, s_hat = calibrate_marginal(cfg.target(), cfg.link_kind)
-    link = LinkFunction(cfg.link_kind, cfg.x_min, mu_hat, s_hat)
+    model = cfg.model()
+    link = model.link
     mean, sd = marginal_moments(link)
     result = {
-        "mu_hat": mu_hat,
-        "s_hat": s_hat,
+        "mu_hat": link.mu_hat,
+        "s_hat": link.s_hat,
         "achieved_mean": mean,
         "achieved_sd": sd,
         "mean_residual": mean - cfg.mu,
         "sd_residual": sd - cfg.s,
     }
-    if cfg.mode == "ou" and cfg.c is not None:
-        kappa = calibrate_kappa(link, cfg.c)
+    if model.correlation.kind == "ou" and cfg.c is not None:
+        kappa = model.correlation.kappa
         ratio = lag_covariance(link, math.exp(-kappa * cfg.c)) / lag_covariance(link, 1.0)
         result["kappa"] = kappa
         result["cov_ratio"] = ratio
@@ -454,14 +452,15 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 
-_SWEEPABLE = ("c", "tau", "s", "link")
+# Sweep parameter name -> RunConfig field.
+_SWEEPABLE = {"c": "c", "tau": "tau", "s": "s", "link": "link_kind"}
 
 
 def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
     started = time.time()
     for name in params:
         if name not in _SWEEPABLE:
-            raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
+            raise UsageError(f"cannot sweep {name!r}; choose from {tuple(_SWEEPABLE)}")
     if cfg.mu is None:
         raise CalibrationError("sweep requires target-based link config (mu, s)")
     names = list(params)
@@ -473,35 +472,27 @@ def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
     spec = cfg.quadrature()
     for combo in combos:
         setting = dict(zip(names, combo))
-        c = setting.get("c", _corr_label(cfg))
-        tau = float(setting.get("tau", cfg.tau))
-        s = float(setting.get("s", cfg.s))
-        kind = setting.get("link", cfg.link_kind)
+        changes = {_SWEEPABLE[n]: v for n, v in setting.items()}
+        if "c" in changes:
+            # A swept time constant replaces the config's correlation spec.
+            changes.update(mode="ou", kappa=None)
         try:
-            target = CalibrationTarget(mu=cfg.mu, s=s, x_min=cfg.x_min)
-            mu_hat, s_hat = calibrate_marginal(target, kind)
-            link = LinkFunction(kind, cfg.x_min, mu_hat, s_hat)
-            if c == 0:
-                corr = CorrelationMode("iid")
-            elif math.isinf(c):
-                corr = CorrelationMode("frozen")
-            else:
-                corr = CorrelationMode("ou", kappa=calibrate_kappa(link, float(c)), c=float(c))
-            model = DelayModel(link, corr, GenerationSchedule(tau))
-            pct = percentiles(model, DEFAULT_LEVELS, spec)
+            row = replace(cfg, **changes)
+            pct = percentiles(row.model(), DEFAULT_LEVELS, spec)
             rows.append(
                 PercentileRow(
-                    link=kind,
-                    c=float(c),
-                    tau=tau,
-                    s=s,
+                    link=row.link_kind,
+                    c=_corr_label(row),
+                    tau=row.tau,
+                    s=row.s,
                     levels=DEFAULT_LEVELS,
                     values=tuple(pct),
                 )
             )
-        except Exception as exc:  # keep sweeping, report at the end
-            failures.append({"setting": setting, "error": str(exc)})
-            print(f"sweep row failed: {setting}: {exc}", file=sys.stderr)
+        except (AoiLabError, ValueError, UsageError) as exc:  # keep sweeping
+            kind = type(exc).__name__
+            failures.append({"setting": setting, "type": kind, "error": str(exc)})
+            print(f"sweep row failed: {setting}: {kind}: {exc}", file=sys.stderr)
     os.makedirs(cfg.out, exist_ok=True)
     write_percentiles_csv(rows, os.path.join(cfg.out, "percentiles.csv"))
     write_meta_json(

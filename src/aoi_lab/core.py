@@ -2,17 +2,18 @@
 
 A source emits packet n at time n*tau; packet n reaches the monitor after
 a delay D_n.  The age at time t is t minus the generation time of the
-newest packet that has arrived.  Everything here is expressed against an
-abstract joint-tail oracle Pr(D_i > b_i for i in a contiguous index
-range), so the same code serves exact Gaussian models, degenerate
-deterministic sequences, and empirical checks.
+newest packet that has arrived.  Writing t = k*tau + phi, the event
+{A_t > x} is {the n most recent packets are all late}, with n given by
+block_length; its probability is a plateau value of the phase profile
+computed in outputs.  This module holds that bookkeeping, the sample-path
+age evaluation used by the simulator, and the CCDF grid container.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +31,6 @@ class GenerationSchedule:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be a positive finite number, got {self.tau}")
-
-    def generation_time(self, n: int) -> float:
-        return n * self.tau
 
 
 @dataclass(frozen=True)
@@ -64,105 +62,15 @@ def decompose_time(t: float, tau: float) -> TimeDecomposition:
     return TimeDecomposition(t=t, k=k, phi=phi)
 
 
-def theta(t: float, x: float, tau: float) -> int:
-    """Index of the oldest packet whose arrival status matters for
-    Pr(A_t > x): max(0, ceil((t - x)/tau)).  Equals k_t + 1 iff x < phi_t."""
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"x must be a finite non-negative number, got {x}")
-    dec = decompose_time(t, tau)
-    if x < dec.phi:
-        return dec.k + 1
-    return max(0, dec.k - int(math.floor((x - dec.phi) / tau)))
-
-
-class JointTailOracle(Protocol):
-    """Joint upper-tail probability of a contiguous block of delays.
-
-    Called as oracle(start, thresholds) and must return
-    Pr(D_{start+j} > thresholds[j] for all j), a value in [0, 1].
-    An empty threshold sequence means probability 1.
-    """
-
-    def __call__(self, start: int, thresholds: Sequence[float]) -> float: ...
-
-
-def _tail_thresholds(k: int, phi: float, tau: float, start: int) -> np.ndarray:
-    """Thresholds b_i = (k - i)*tau + phi for i = start..k."""
-    i = np.arange(start, k + 1)
-    return (k - i) * tau + phi
-
-
-def aoi_ccdf(
-    t: float,
-    x: float,
-    schedule: GenerationSchedule,
-    oracle: JointTailOracle,
-) -> float:
-    """Pr(A_t > x): 1 below the current phase, otherwise the joint
-    probability that every packet recent enough to beat age x is late."""
-    tau = schedule.tau
-    dec = decompose_time(t, tau)
-    start = theta(t, x, tau)
-    if start > dec.k:
-        return 1.0
-    b = _tail_thresholds(dec.k, dec.phi, tau, start)
-    p = float(oracle(start, b))
-    return min(max(p, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class AoiSupport:
-    """Finite support of A_t: candidate ages n*tau + phi_t plus infinity."""
-
-    t: float
-    atoms: np.ndarray
-    masses: np.ndarray
-    p_infinity: float
-    j_star: int
-
-    def __post_init__(self):
-        if self.atoms.size and np.any(np.diff(self.atoms) <= 0):
-            raise ValueError("atoms must be strictly increasing")
-
-
-def aoi_support(
-    t: float,
-    schedule: GenerationSchedule,
-    d_min: Sequence[float],
-    oracle: JointTailOracle,
-) -> AoiSupport:
-    """Atom locations and masses of the (discrete + infinite) law of A_t.
-
-    d_min[i] is the left endpoint of the support of D_i; it determines the
-    smallest achievable age index j_star.  Masses come out as differences
-    of adjacent CCDF plateau values; p_infinity is the probability that no
-    packet has arrived by t.
-    """
-    tau = schedule.tau
-    dec = decompose_time(t, tau)
-    k, phi = dec.k, dec.phi
-    if len(d_min) < k + 1:
-        raise ValueError(
-            f"d_min must cover packets 0..{k}, got length {len(d_min)}"
-        )
-    # Plateau values C_n = Pr(A_t > x) for x in ((n-1)*tau+phi, n*tau+phi).
-    c = np.empty(k + 2)
-    c[0] = 1.0
-    for n in range(1, k + 2):
-        start = k - n + 1
-        b = _tail_thresholds(k, phi, tau, start)
-        c[n] = min(max(float(oracle(start, b)), 0.0), 1.0)
-    j_star = k + 1
-    for j in range(k + 1):
-        if d_min[k - j] < j * tau + phi:
-            j_star = j
-            break
-    ns = np.arange(j_star, k + 1)
-    atoms = ns * tau + phi
-    masses = np.clip(c[ns] - c[ns + 1], 0.0, None)
-    return AoiSupport(
-        t=t, atoms=atoms, masses=masses, p_infinity=float(c[k + 1]), j_star=j_star
-    )
+def block_length(x: float, phi: float, tau: float, k: int | None = None) -> int:
+    """Number n of most recent packets that must all be late for A > x at
+    phase phi: 0 below the phase (the event is certain), otherwise
+    floor((x - phi)/tau) + 1, capped at k + 1 (every packet generated by
+    t = k*tau + phi) when k is given."""
+    if x < phi:
+        return 0
+    n = int(math.floor((x - phi) / tau)) + 1
+    return n if k is None else min(n, k + 1)
 
 
 def aoi_path_matrix(
@@ -198,31 +106,6 @@ def aoi_path_matrix(
         latest = k - np.argmax(arrived[:, ::-1], axis=1)
         ages[:, j] = np.where(any_arrived, t - latest * tau, np.inf)
     return ages
-
-
-def aoi_path(
-    delays: Sequence[float],
-    schedule: GenerationSchedule,
-    t_grid: Sequence[float],
-) -> np.ndarray:
-    """Age sample path for a single delay sequence (see aoi_path_matrix)."""
-    return aoi_path_matrix(np.asarray(delays, dtype=float)[None, :], schedule, t_grid)[0]
-
-
-def point_mass_oracle(delays: Sequence[float]) -> JointTailOracle:
-    """Degenerate oracle for a fixed, known delay sequence (0/1 valued)."""
-    d = np.asarray(delays, dtype=float)
-
-    def oracle(start: int, thresholds: Sequence[float]) -> float:
-        b = np.asarray(thresholds, dtype=float)
-        if b.size == 0:
-            return 1.0
-        block = d[start : start + b.size]
-        if block.size != b.size:
-            raise ValueError("oracle asked beyond the known delay sequence")
-        return 1.0 if np.all(block > b) else 0.0
-
-    return oracle
 
 
 @dataclass

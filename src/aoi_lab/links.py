@@ -1,4 +1,4 @@
-"""Monotone link functions, moment calibration, and the OU kernel.
+"""Monotone link functions, the delay model, and moment calibration.
 
 Delays are generated as X = g(Z) with Z a stationary standard Gaussian
 process.  Two links are supported: a shifted lognormal
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erfc
 
-from .core import GenerationSchedule, decompose_time, theta
+from .core import GenerationSchedule
 from .errors import CalibrationError
 from .orthant import _gauss_legendre, std_normal_tail
 
@@ -250,50 +248,3 @@ def calibrate_kappa(link: LinkFunction, c: float) -> float:
         raise CalibrationError("covariance-ratio equation could not be bracketed")
     rho_star = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return -math.log(rho_star) / c
-
-
-def ou_transition(z: float, dt: float, kappa: float) -> tuple[float, float]:
-    """Conditional law of the OU state after dt given the current state z:
-    mean z*exp(-kappa*dt), variance 1 - exp(-2*kappa*dt)."""
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    r = math.exp(-kappa * dt)
-    return z * r, 1.0 - r * r
-
-
-def thresholds(
-    t: float,
-    x: float,
-    schedule: GenerationSchedule,
-    link: LinkFunction,
-) -> np.ndarray:
-    """Gaussian thresholds a_i = g_inverse((k_t - i)*tau + phi_t) for
-    i = theta_t(x)..k_t, the vector whose joint tail is Pr(A_t > x)."""
-    tau = schedule.tau
-    dec = decompose_time(t, tau)
-    if x < dec.phi:
-        raise ValueError("thresholds are defined for x >= phi_t only")
-    start = theta(t, x, tau)
-    i = np.arange(start, dec.k + 1)
-    return g_inverse(link, (dec.k - i) * tau + dec.phi)
-
-
-def build_model(
-    kind: str,
-    target: CalibrationTarget,
-    correlation_kind: str,
-    tau: float,
-) -> DelayModel:
-    """Calibrate a link to the target and assemble a DelayModel."""
-    mu_hat, s_hat = calibrate_marginal(target, kind)
-    link = LinkFunction(kind=kind, x_min=target.x_min, mu_hat=mu_hat, s_hat=s_hat)
-    if correlation_kind == "ou":
-        if target.c is None:
-            raise CalibrationError("ou mode requires the time constant c")
-        kappa = calibrate_kappa(link, target.c)
-        corr = CorrelationMode(kind="ou", kappa=kappa, c=target.c)
-    else:
-        corr = CorrelationMode(kind=correlation_kind)
-    return DelayModel(link=link, correlation=corr, schedule=GenerationSchedule(tau))

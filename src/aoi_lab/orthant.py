@@ -5,14 +5,14 @@ unit-variance stationary AR(1) chain with one-step correlation ``rho`` by
 propagating the conditional density of the current state through the
 transition kernel N(rho*u, 1 - rho^2), one truncated quadrature per stage.
 Closed forms cover the independent and fully-frozen limits, and a plain
-Monte-Carlo estimator over arbitrary stationary covariances serves as an
+Monte-Carlo estimator over the chain's covariance matrix serves as an
 independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -52,15 +52,12 @@ class QuadratureSpec:
 
     m: int = 400
     L: float = 8.0
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.m < 16:
             raise ValueError(f"m must be >= 16, got {self.m}")
         if not self.L >= 4:
             raise ValueError(f"L must be >= 4, got {self.L}")
-        if self.rule not in ("gauss-legendre", "trapezoid"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -72,21 +69,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gl_cache[n]
 
 
-def _panel_nodes(lo: float, hi: float, n: int, rule: str):
-    if rule == "gauss-legendre":
-        x, w = _gauss_legendre(n)
-        half = 0.5 * (hi - lo)
-        return lo + half * (x + 1.0), half * w
-    # Trapezoid: uniform nodes including both endpoints.
-    nodes = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return nodes, w
-
-
-def _split_grid(breaks: Sequence[float], m: int, rule: str):
-    """Composite quadrature grid over [breaks[0], breaks[-1]].
+def _split_grid(breaks: Sequence[float], m: int):
+    """Composite Gauss-Legendre grid over [breaks[0], breaks[-1]].
 
     Nodes are allocated to panels proportionally to panel length, with a
     floor so that thin panels (used to isolate near-discontinuities) stay
@@ -99,29 +83,11 @@ def _split_grid(breaks: Sequence[float], m: int, rule: str):
     )
     nodes_parts, weight_parts = [], []
     for lo, hi, n in zip(breaks[:-1], breaks[1:], counts):
-        nodes, w = _panel_nodes(lo, hi, int(n), rule)
-        nodes_parts.append(nodes)
-        weight_parts.append(w)
+        x, w = _gauss_legendre(int(n))
+        half = 0.5 * (hi - lo)
+        nodes_parts.append(lo + half * (x + 1.0))
+        weight_parts.append(half * w)
     return np.concatenate(nodes_parts), np.concatenate(weight_parts)
-
-
-@dataclass(frozen=True)
-class ConditionalTail:
-    """One stage's conditional law on a truncated grid.
-
-    density integrates to 1 over the grid; tail[j] = integral of the
-    density from nodes[j] to the top of the grid.
-    """
-
-    nodes: np.ndarray
-    density: np.ndarray
-    tail: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.density < 0):
-            raise ValueError("density must be non-negative")
-        if np.any(np.diff(self.tail) > 1e-12):
-            raise ValueError("tail must be non-increasing")
 
 
 class OuChain:
@@ -170,7 +136,7 @@ class OuChain:
             if tail < _TINY_PROB:
                 self.prob = 0.0
                 return 0.0
-            nodes, weights = _split_grid([lo_new, spec.L], spec.m, spec.rule)
+            nodes, weights = _split_grid([lo_new, spec.L], spec.m)
             density = _std_normal_pdf(nodes) / tail
         else:
             breaks = [lo_new]
@@ -178,7 +144,7 @@ class OuChain:
             if lo_new + 1e-9 < edge < spec.L - 1e-9:
                 breaks.append(edge)
             breaks.append(spec.L)
-            nodes, weights = _split_grid(breaks, spec.m, spec.rule)
+            nodes, weights = _split_grid(breaks, spec.m)
             raw = self._propagate(nodes)
             tail = float(weights @ raw)
             tail = min(max(tail, 0.0), 1.0)
@@ -216,23 +182,6 @@ class OuChain:
         raw = (half * w) * _std_normal_pdf(v) * f
         return raw.sum(axis=1) / rho
 
-    def conditional_tail(self, n_resample: int | None = None) -> ConditionalTail:
-        """Snapshot of the current stage as a ConditionalTail on a uniform
-        grid (density renormalized; tail by cumulative trapezoid)."""
-        if self._nodes is None:
-            raise EvaluationError("chain has no stage yet")
-        n = n_resample if n_resample is not None else 4 * self.spec.m
-        grid = np.linspace(self._lo, self.spec.L, n)
-        dens = np.clip(CubicSpline(self._nodes, self._density)(grid), 0.0, None)
-        h = grid[1] - grid[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (dens[1:] + dens[:-1]))])
-        total = cum[-1]
-        if total <= 0.0:
-            raise EvaluationError("degenerate stage density")
-        return ConditionalTail(
-            nodes=grid, density=dens / total, tail=(total - cum) / total
-        )
-
 
 def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
     """Pr(Z_i > a_i for all i) for the stationary AR(1) chain with one-step
@@ -263,39 +212,14 @@ def orthant_frozen(a) -> float:
     return float(std_normal_tail(np.max(a)))
 
 
-@dataclass
-class CovarianceSpec:
-    """Stationary covariance on a finite set of sample times.
-
-    autocov must satisfy autocov(0) = 1 (unit-variance process).
-    """
-
-    times: np.ndarray
-    autocov: Callable[[float], float]
-    matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be a non-empty increasing 1-D array")
-        self.times = t
-        lags = np.abs(t[:, None] - t[None, :])
-        self.matrix = np.vectorize(self.autocov)(lags).astype(float)
-        if not np.allclose(np.diag(self.matrix), 1.0, atol=1e-12):
-            raise ValueError("autocov(0) must equal 1")
-
-
-def ou_covariance(rho: float, n: int, tau: float = 1.0) -> CovarianceSpec:
-    """Covariance of n consecutive AR(1) samples with lag-tau correlation rho."""
-    kappa = -np.log(rho) / tau
-    return CovarianceSpec(
-        times=np.arange(n) * tau,
-        autocov=lambda t: float(np.exp(-kappa * abs(t))),
-    )
+def ou_covariance(rho: float, n: int) -> np.ndarray:
+    """Covariance matrix rho**|i-j| of n consecutive samples of the chain."""
+    lags = np.arange(n)
+    return float(rho) ** np.abs(lags[:, None] - lags[None, :])
 
 
 def mvn_orthant_mc(
-    cov: CovarianceSpec,
+    cov: np.ndarray,
     a,
     n_samples: int,
     seed: int,
@@ -307,7 +231,7 @@ def mvn_orthant_mc(
     seed; the covariance may be singular (tolerance-clipped eigenfactor).
     """
     a = np.asarray(a, dtype=float)
-    sigma = cov.matrix
+    sigma = np.asarray(cov, dtype=float)
     if a.shape != (sigma.shape[0],):
         raise ValueError("threshold vector length must match covariance size")
     w, v = np.linalg.eigh(sigma)

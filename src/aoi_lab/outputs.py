@@ -1,11 +1,13 @@
-"""Exact CCDF grids and derived reports (heat maps, time averages,
+"""Exact CCDF grids and derived reports (atoms, heat maps, time averages,
 percentiles, dominance), plus CSV/JSON serialization.
 
 The exact engine evaluates Pr(A_t > x) as a Gaussian joint-tail
 probability of the threshold vector g_inverse(j*tau + phi), j = 0..n-1.
 By stationarity (and time-reversibility of the Gauss-Markov chain) that
 probability depends on (t, x) only through the phase phi_t and the block
-length n, so grid cells are grouped into phase classes and each class is
+length n, so the whole law of A_t at phase phi is the profile
+Q_phi[0..n] from ccdf_profile, the single exact primitive every report
+here reads.  Grid cells are grouped into phase classes and each class is
 served by a single chain sweep whose prefixes yield every block length at
 once.
 """
@@ -22,17 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CcdfGrid, decompose_time
+from .core import CcdfGrid, block_length, decompose_time
 from .errors import EvaluationError, QuadratureError
 from .links import DelayModel, g_inverse
-from .orthant import (
-    OuChain,
-    QuadratureSpec,
-    orthant_frozen,
-    orthant_iid,
-    ou_orthant,
-    std_normal_tail,
-)
+from .orthant import OuChain, QuadratureSpec, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
 # threshold's own tail drops below this, the block probability is zero at
@@ -80,9 +75,7 @@ def ccdf_profile(
     n_alive = int(np.argmax(dead)) if dead.any() else n_max
     if n_alive > 0 and np.max(a[:n_alive]) > spec.L:
         grow = float(np.max(a[:n_alive])) + 4.0
-        spec = QuadratureSpec(
-            m=int(math.ceil(spec.m * grow / spec.L)), L=grow, rule=spec.rule
-        )
+        spec = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
     chain = OuChain(rho, spec)
     for j in range(n_alive):
         q[j + 1] = chain.extend(float(a[j]))
@@ -90,32 +83,47 @@ def ccdf_profile(
     return q
 
 
-def exact_oracle(model: DelayModel, spec: QuadratureSpec | None = None):
-    """JointTailOracle over delay thresholds for an exact Gaussian model."""
+@dataclass(frozen=True)
+class AoiSupport:
+    """Finite support of A_t: candidate ages n*tau + phi_t plus infinity."""
+
+    t: float
+    atoms: np.ndarray
+    masses: np.ndarray
+    p_infinity: float
+    j_star: int
+
+    def __post_init__(self):
+        if self.atoms.size and np.any(np.diff(self.atoms) <= 0):
+            raise ValueError("atoms must be strictly increasing")
+
+
+def aoi_support(
+    model: DelayModel, t: float, spec: QuadratureSpec | None = None
+) -> AoiSupport:
+    """Atom locations and masses of the (discrete + infinite) law of A_t.
+
+    The plateau values c[n] = Pr(A_t > x) for x in ((n-1)*tau + phi,
+    n*tau + phi) are the phase profile, so masses are differences of
+    adjacent profile values and p_infinity (no packet arrived by t) is
+    c[k+1].  The link's left endpoint x_min gates the smallest achievable
+    age index j_star.
+    """
     spec = spec if spec is not None else QuadratureSpec()
-
-    def oracle(start: int, b: Sequence[float]) -> float:
-        a = np.atleast_1d(np.asarray(g_inverse(model.link, np.asarray(b)), dtype=float))
-        if a.size == 0:
-            return 1.0
-        kind = model.correlation.kind
-        if kind == "iid":
-            return orthant_iid(a)
-        if kind == "frozen":
-            return orthant_frozen(a)
-        if np.min(std_normal_tail(a)) < _TAIL_FLOOR:
-            return 0.0
-        # Reversed order gives non-decreasing thresholds for the usual
-        # Theorem-1 blocks; the joint law is reversal-invariant.
-        return ou_orthant(a[::-1], model.step_correlation(), spec)
-
-    return oracle
-
-
-def _block_length(x: float, phi: float, k: int, tau: float) -> int:
-    """Number of most-recent packets whose lateness the event {A_t > x}
-    requires, for x >= phi; capped at k+1 (all packets ever generated)."""
-    return min(k + 1, int(math.floor((x - phi) / tau)) + 1)
+    tau = model.schedule.tau
+    dec = decompose_time(t, tau)
+    k, phi = dec.k, dec.phi
+    c = ccdf_profile(model, phi, k + 1, spec)
+    x_min = model.link.x_min
+    j_star = next((j for j in range(k + 1) if x_min < j * tau + phi), k + 1)
+    ns = np.arange(j_star, k + 1)
+    return AoiSupport(
+        t=t,
+        atoms=ns * tau + phi,
+        masses=np.clip(c[ns] - c[ns + 1], 0.0, None),
+        p_infinity=float(c[k + 1]),
+        j_star=j_star,
+    )
 
 
 def exact_ccdf_grid(
@@ -138,10 +146,7 @@ def exact_ccdf_grid(
     for dec in decs:
         key = _phase_key(dec.phi, tau)
         phi = key * tau
-        n_row = 0
-        for x in x_grid:
-            if x >= phi:
-                n_row = max(n_row, _block_length(float(x), phi, dec.k, tau))
+        n_row = max((block_length(float(x), phi, tau, dec.k) for x in x_grid), default=0)
         needs[key] = max(needs.get(key, 0), n_row)
 
     def compute(key: float) -> tuple[float, np.ndarray]:
@@ -163,10 +168,7 @@ def exact_ccdf_grid(
         phi = key * tau
         q = profiles[key]
         for j, x in enumerate(x_grid):
-            if x < phi:
-                p[i, j] = 1.0
-            else:
-                p[i, j] = q[_block_length(float(x), phi, dec.k, tau)]
+            p[i, j] = q[block_length(float(x), phi, tau, dec.k)]
     meta = {
         "link": model.link.kind,
         "x_min": model.link.x_min,
@@ -175,7 +177,7 @@ def exact_ccdf_grid(
         "correlation": model.correlation.kind,
         "kappa": model.correlation.kappa,
         "tau": tau,
-        "quadrature": {"m": spec.m, "L": spec.L, "rule": spec.rule},
+        "quadrature": {"m": spec.m, "L": spec.L},
     }
     return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact", meta=meta)
 
@@ -260,22 +262,9 @@ class TimeAverageEvaluator:
         tau = self.model.schedule.tau
         total = 0.0
         for idx, phi in enumerate(self.phases):
-            if x < phi:
-                total += 1.0
-            else:
-                n = int(math.floor((x - phi) / tau)) + 1
-                total += float(self._profile(idx, n)[n])
+            n = block_length(x, float(phi), tau)
+            total += float(self._profile(idx, n)[n]) if n else 1.0
         return total / self.phases.size
-
-
-def time_averaged_ccdf(
-    model: DelayModel,
-    x: float,
-    spec: QuadratureSpec | None = None,
-    n_phase_nodes: int = 64,
-) -> float:
-    """One-shot evaluation of the time-averaged CCDF at age x."""
-    return TimeAverageEvaluator(model, spec, n_phase_nodes).value(x)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aoi_lab.cli import main as cli_main
-from aoi_lab.core import GenerationSchedule, aoi_support, decompose_time
+from aoi_lab.core import GenerationSchedule, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
@@ -35,9 +35,9 @@ from aoi_lab.orthant import (
 )
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
+    aoi_support,
     dominance_check,
     exact_ccdf_grid,
-    exact_oracle,
     percentiles,
 )
 from aoi_lab.simulate import SimConfig, simulate_empirical_ccdf
@@ -153,11 +153,10 @@ def test_criterion_5_support_and_periodicity(capsys):
     infinite mass summing to 1 within 1e-9), is exactly 1 below the phase,
     and is periodic in t with period tau to 1e-9."""
     model = reference_model()
-    oracle = exact_oracle(model)
     t = 7.3
     phi = decompose_time(t, TAU).phi
     k = decompose_time(t, TAU).k
-    sup = aoi_support(t, model.schedule, [X_MIN] * (k + 1), oracle)
+    sup = aoi_support(model, t)
     atoms_ok = np.allclose(
         sup.atoms, np.arange(sup.j_star, k + 1) * TAU + phi, atol=1e-9, rtol=0
     )

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from aoi_lab import cli
 from aoi_lab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CALIBRATION,
@@ -78,6 +79,14 @@ class TestRunConfig:
         bad["correlation"] = {"mode": "iid", "kappa": 0.1}
         with pytest.raises(UsageError):
             RunConfig.from_dict(bad)
+
+    def test_quadrature_rule_key(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["quadrature"] = {"m": 64, "rule": "gauss-legendre"}
+        assert RunConfig.from_dict(doc).quadrature().m == 64
+        doc["quadrature"]["rule"] = "trapezoid"
+        with pytest.raises(UsageError):
+            RunConfig.from_dict(doc)
 
     def test_model_construction_calibrates(self):
         model = RunConfig.from_dict(BASE_CONFIG).model()
@@ -200,7 +209,7 @@ class TestCommands:
         assert lines[1].split(",")[1] == "0"
         assert lines[3].split(",")[1] == "inf"
 
-    def test_sweep_partial_failure_exit_code(self, config_path, tmp_path):
+    def test_sweep_partial_failure_exit_code(self, config_path, tmp_path, capsys):
         out = tmp_path / "sweep_fail"
         code = main(
             ["sweep", "--config", config_path, "--out", str(out),
@@ -209,8 +218,45 @@ class TestCommands:
         assert code == EXIT_PARTIAL_SWEEP
         meta = json.loads((out / "meta.json").read_text())
         assert len(meta["failures"]) == 1
+        assert meta["failures"][0]["type"] == "CalibrationError"
+        assert "CalibrationError" in capsys.readouterr().err
         # The good row is still produced.
         assert len((out / "percentiles.csv").read_text().strip().split("\n")) == 2
+
+    def test_sweep_propagates_unexpected_errors(self, config_path, tmp_path,
+                                                monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside a row")
+
+        monkeypatch.setattr(cli, "percentiles", broken)
+        with pytest.raises(TypeError):
+            main(["sweep", "--config", config_path, "--out", str(tmp_path / "s"),
+                  "--param", "c=10"])
+
+    def test_sweep_accepts_kappa_config(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["correlation"] = {"mode": "ou", "kappa": 0.067}
+        path = tmp_path / "kappa.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep_kappa"
+        code = main(
+            ["sweep", "--config", str(path), "--out", str(out),
+             "--param", "tau=0.5,2.0", "--set", "quadrature.m=128"]
+        )
+        assert code == EXIT_OK
+        assert len((out / "percentiles.csv").read_text().strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("c,mode", [("0", "iid"), ("inf", "frozen")])
+    def test_exact_routes_degenerate_time_constants(self, config_path, tmp_path,
+                                                    c, mode):
+        # c = 0 and c = inf are the iid and frozen limits in every command.
+        routed, direct = tmp_path / "routed", tmp_path / "direct"
+        assert main(["exact", "--config", config_path, "--out", str(routed),
+                     "--set", f"correlation.c={c}"]) == EXIT_OK
+        assert main(["exact", "--config", config_path, "--out", str(direct),
+                     "--set", f"correlation.mode={mode}"]) == EXIT_OK
+        for name in ("ccdf.csv", "heatmap.csv", "timeavg.csv", "percentiles.csv"):
+            assert (routed / name).read_bytes() == (direct / name).read_bytes(), name
 
 
 class TestExitCodes:

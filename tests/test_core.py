@@ -1,5 +1,5 @@
-"""Age-of-information bookkeeping: time decomposition, CCDF identity,
-atoms, and sample-path evaluation."""
+"""Age-of-information bookkeeping: time decomposition, the block-length
+rule, atoms, and sample-path evaluation."""
 
 import math
 
@@ -11,14 +11,40 @@ from hypothesis import strategies as st
 from aoi_lab.core import (
     CcdfGrid,
     GenerationSchedule,
-    aoi_ccdf,
-    aoi_path,
     aoi_path_matrix,
-    aoi_support,
+    block_length,
     decompose_time,
-    point_mass_oracle,
-    theta,
 )
+from aoi_lab.links import (
+    CENSORED_NORMAL,
+    SHIFTED_LOGNORMAL,
+    CorrelationMode,
+    DelayModel,
+    LinkFunction,
+)
+from aoi_lab.orthant import QuadratureSpec
+from aoi_lab.outputs import aoi_support, exact_ccdf_grid
+
+
+def aoi_path(delays, schedule, t_grid):
+    """Age sample path of a single delay sequence."""
+    return aoi_path_matrix(np.asarray(delays, dtype=float)[None, :], schedule, t_grid)[0]
+
+
+def theta(t, x, tau):
+    """Index of the oldest packet whose arrival matters for Pr(A_t > x),
+    k_t + 1 - n with n the block length."""
+    dec = decompose_time(t, tau)
+    return dec.k + 1 - block_length(x, dec.phi, tau, dec.k)
+
+
+def gaussian_model(kind="ou", x_min=0.5, mu_hat=-1.2824746787307684,
+                   s_hat=1.085658784490618, tau=2.0,
+                   link_kind=SHIFTED_LOGNORMAL, kappa=0.25):
+    corr = CorrelationMode(kind, kappa=kappa if kind == "ou" else None)
+    return DelayModel(
+        LinkFunction(link_kind, x_min, mu_hat, s_hat), corr, GenerationSchedule(tau)
+    )
 
 
 class TestDecomposeTime:
@@ -86,8 +112,9 @@ class TestTheta:
 
 
 class TestAoiCcdfAgainstPaths:
-    """The CCDF identity must agree with brute-force age evaluation when
-    the delay sequence is deterministic (the oracle is 0/1)."""
+    """The block-length rule must agree with brute-force age evaluation
+    when the delay sequence is known: A_t > x exactly when the n most
+    recent packets are all late."""
 
     @given(
         delays=st.lists(st.floats(0.0, 8.0), min_size=6, max_size=6),
@@ -104,16 +131,18 @@ class TestAoiCcdfAgainstPaths:
             assume(abs(n * tau + d - t) > 1e-9)
             assume(abs(x - (t - n * tau)) > 1e-9)
         schedule = GenerationSchedule(tau)
-        oracle = point_mass_oracle(delays)
+        dec = decompose_time(t, tau)
+        n = block_length(x, dec.phi, tau, dec.k)
+        all_late = all(delays[dec.k - j] > j * tau + dec.phi for j in range(n))
         age = aoi_path(delays, schedule, [t])[0]
-        expected = 1.0 if age > x else 0.0
-        assert aoi_ccdf(t, x, schedule, oracle) == expected
+        assert (age > x) == all_late
 
     def test_below_phase_is_always_one(self):
+        # Even instant delivery cannot beat age phi at t = 7.3: no packet
+        # has to be late, and the age is never below 1.3.
         schedule = GenerationSchedule(2.0)
-        oracle = point_mass_oracle([0.0, 0.0, 0.0, 0.0])
-        # Even instant delivery cannot beat age phi at t = 7.3.
-        assert aoi_ccdf(7.3, 1.2999, schedule, oracle) == 1.0
+        assert block_length(1.2999, 1.3, 2.0, 3) == 0
+        assert aoi_path([0.0] * 4, schedule, [7.3])[0] > 1.2999
 
 
 class TestAoiPaths:
@@ -152,41 +181,53 @@ class TestAoiPaths:
 
 class TestAoiSupport:
     def test_atoms_sit_on_phase_lattice(self):
-        schedule = GenerationSchedule(2.0)
-        oracle = point_mass_oracle([0.5, 0.5, 0.5, 0.5])
-        sup = aoi_support(7.3, schedule, [0.0] * 4, oracle)
+        sup = aoi_support(gaussian_model(), 7.3)
         phi = decompose_time(7.3, 2.0).phi
         assert np.allclose(sup.atoms, np.arange(sup.j_star, 4) * 2.0 + phi)
 
     def test_masses_and_infinity_sum_to_one(self):
-        schedule = GenerationSchedule(2.0)
-        oracle = point_mass_oracle([0.5, 3.0, 0.5, 9.0])
-        sup = aoi_support(7.3, schedule, [0.0] * 4, oracle)
-        assert sup.masses.sum() + sup.p_infinity == pytest.approx(1.0, abs=1e-12)
+        # Long delays leave a visible chance that nothing has arrived.
+        for kind in ("iid", "ou", "frozen"):
+            model = gaussian_model(kind, link_kind=CENSORED_NORMAL, mu_hat=3.0,
+                                   s_hat=2.0)
+            sup = aoi_support(model, 7.3)
+            assert sup.p_infinity > 1e-4
+            total = sup.masses.sum() + sup.p_infinity
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_delays_give_unit_atom(self):
-        # All delays 0.5, t = 7.3: packet 3 (sent at 6.0) arrived at 6.5,
-        # so the age is exactly 1.3 with probability one.
-        schedule = GenerationSchedule(2.0)
-        oracle = point_mass_oracle([0.5] * 4)
-        sup = aoi_support(7.3, schedule, [0.5] * 4, oracle)
+        # Delays 0.5 up to a 1e-3 spread, t = 7.3: packet 3 (sent at 6.0)
+        # has arrived by 6.6, so the age is 1.3 with probability one.
+        model = gaussian_model("iid", x_min=0.0, link_kind=CENSORED_NORMAL,
+                               mu_hat=0.5, s_hat=1e-3)
+        sup = aoi_support(model, 7.3)
         assert sup.p_infinity == 0.0
         idx = int(np.argmax(sup.masses))
         assert sup.atoms[idx] == pytest.approx(1.3, abs=1e-12)
         assert sup.masses[idx] == pytest.approx(1.0, abs=1e-12)
 
     def test_minimum_delay_gates_smallest_atom(self):
-        schedule = GenerationSchedule(2.0)
-        oracle = point_mass_oracle([0.5] * 4)
         # If delays cannot go below 1.4 > phi = 1.3, the age cannot be 1.3.
-        sup = aoi_support(7.3, schedule, [1.4] * 4, oracle)
+        sup = aoi_support(gaussian_model(x_min=1.4), 7.3)
         assert sup.j_star == 1
+        assert sup.atoms[0] == pytest.approx(3.3, abs=1e-12)
 
-    def test_requires_enough_minimum_delays(self):
-        with pytest.raises(ValueError):
-            aoi_support(
-                7.3, GenerationSchedule(2.0), [0.0], point_mass_oracle([0.5] * 4)
-            )
+    def test_matches_grid_plateaus_on_censored_link(self):
+        # The block at (t=3.5, x=3.6) has Gaussian threshold 5.8 > L = 4,
+        # so both routes must grow the quadrature rather than fail.
+        model = gaussian_model(x_min=0.5, mu_hat=0.6, s_hat=0.5, tau=1.0,
+                               link_kind=CENSORED_NORMAL, kappa=0.1)
+        spec = QuadratureSpec(m=64, L=4.0)
+        t, tau = 3.5, 1.0
+        sup = aoi_support(model, t, spec)
+        # One x inside each plateau ((n-1)*tau + phi, n*tau + phi), n = 1..4;
+        # the last plateau is p_infinity.
+        xs = [1.0, 2.0, 3.0, 3.6]
+        grid = exact_ccdf_grid(model, [t], xs, spec)
+        plateaus = [sup.masses[sup.atoms > x].sum() + sup.p_infinity for x in xs]
+        assert np.allclose(grid.p[0], plateaus, rtol=0, atol=1e-15)
+        assert grid.p[0, 3] == sup.p_infinity
+        assert 0.0 < sup.p_infinity < 1e-6
 
 
 class TestCcdfGrid:

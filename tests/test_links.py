@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoi_lab.cli import RunConfig, UsageError
 from aoi_lab.core import GenerationSchedule
 from aoi_lab.errors import CalibrationError
 from aoi_lab.links import (
@@ -16,15 +17,12 @@ from aoi_lab.links import (
     CorrelationMode,
     DelayModel,
     LinkFunction,
-    build_model,
     calibrate_kappa,
     calibrate_marginal,
     g_apply,
     g_inverse,
     lag_covariance,
     marginal_moments,
-    ou_transition,
-    thresholds,
 )
 
 # Reference values computed with independent adaptive-quadrature oracles
@@ -221,35 +219,14 @@ class TestCorrelationAndModel:
         )
         assert model.step_correlation() == pytest.approx(math.exp(-0.5), rel=1e-14)
 
-    def test_ou_transition_moments(self):
-        mean, var = ou_transition(1.5, 2.0, 0.25)
-        assert mean == pytest.approx(1.5 * math.exp(-0.5), rel=1e-14)
-        assert var == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
-
     def test_build_model_end_to_end(self):
-        target = CalibrationTarget(mu=1.0, s=0.75, x_min=0.5, c=10.0)
-        model = build_model(SHIFTED_LOGNORMAL, target, "ou", tau=2.0)
+        cfg = RunConfig(SHIFTED_LOGNORMAL, x_min=0.5, mu=1.0, s=0.75, c=10.0, tau=2.0)
+        model = cfg.model()
         assert model.correlation.kappa == pytest.approx(
             LOGNORMAL_KAPPA_C10, rel=1e-10
         )
         assert model.schedule.tau == 2.0
 
     def test_build_model_ou_requires_time_constant(self):
-        with pytest.raises(CalibrationError):
-            build_model(SHIFTED_LOGNORMAL, TARGET, "ou", tau=2.0)
-
-
-class TestThresholds:
-    def test_values_and_length(self):
-        link = lognormal_link()
-        schedule = GenerationSchedule(2.0)
-        a = thresholds(7.3, 3.4, schedule, link)
-        # theta = 2 at (t=7.3, x=3.4), so packets 2..3 matter with delay
-        # thresholds 3.3 and 1.3.
-        assert a.shape == (2,)
-        assert a[0] == pytest.approx(float(g_inverse(link, 3.3)), rel=1e-12)
-        assert a[1] == pytest.approx(float(g_inverse(link, 1.3)), rel=1e-12)
-
-    def test_rejects_age_below_phase(self):
-        with pytest.raises(ValueError):
-            thresholds(7.3, 1.0, GenerationSchedule(2.0), lognormal_link())
+        with pytest.raises(UsageError):
+            RunConfig(SHIFTED_LOGNORMAL, x_min=0.5, mu=1.0, s=0.75, mode="ou")

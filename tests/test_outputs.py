@@ -8,13 +8,14 @@ import os
 import numpy as np
 import pytest
 
-from aoi_lab.core import GenerationSchedule, aoi_ccdf, decompose_time
+from aoi_lab.core import GenerationSchedule, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
     CorrelationMode,
     DelayModel,
     LinkFunction,
+    g_inverse,
 )
 from aoi_lab.orthant import QuadratureSpec, ou_orthant, std_normal_tail
 from aoi_lab.outputs import (
@@ -24,10 +25,8 @@ from aoi_lab.outputs import (
     ccdf_profile,
     dominance_check,
     exact_ccdf_grid,
-    exact_oracle,
     heatmap,
     percentiles,
-    time_averaged_ccdf,
     write_ccdf_csv,
     write_heatmap_csv,
     write_meta_json,
@@ -57,8 +56,6 @@ class TestCcdfProfile:
         spec = QuadratureSpec()
         phi = 0.7
         q = ccdf_profile(model, phi, 5, spec)
-        from aoi_lab.links import g_inverse
-
         rho = model.step_correlation()
         for n in range(1, 6):
             a = g_inverse(model.link, np.arange(n) * 2.0 + phi)
@@ -67,8 +64,6 @@ class TestCcdfProfile:
 
     def test_iid_profile_is_cumulative_product(self):
         model = make_model("iid")
-        from aoi_lab.links import g_inverse
-
         q = ccdf_profile(model, 0.7, 4, QuadratureSpec())
         a = g_inverse(model.link, np.arange(4) * 2.0 + 0.7)
         assert np.allclose(q[1:], np.cumprod(std_normal_tail(a)), rtol=1e-13)
@@ -101,11 +96,20 @@ class TestExactCcdfGrid:
         assert np.ptp(grid.p[:, 0]) == 0.0
 
     def test_matches_pointwise_oracle(self):
+        # Each cell is the orthant probability of its own threshold block,
+        # g_inverse of the ages j*tau + phi for the n most recent packets.
         model = make_model()
-        oracle = exact_oracle(model)
-        grid = exact_ccdf_grid(model, [4.5], [2.2])
-        direct = aoi_ccdf(4.5, 2.2, model.schedule, oracle)
-        assert grid.p[0, 0] == pytest.approx(direct, abs=1e-12)
+        t_grid, x_grid = [4.5, 7.3], [2.2, 3.0, 3.4, 6.0, 9.0]
+        grid = exact_ccdf_grid(model, t_grid, x_grid)
+        rho = model.step_correlation()
+        # (t, x, n): at (7.3, 3.4) the delay thresholds are 1.3 and 3.3.
+        for t, x, n in [(4.5, 2.2, 1), (4.5, 3.0, 2), (7.3, 3.4, 2), (7.3, 6.0, 3),
+                        (7.3, 9.0, 4)]:
+            phi = decompose_time(t, 2.0).phi
+            a = g_inverse(model.link, np.arange(n) * 2.0 + phi)
+            direct = ou_orthant(np.atleast_1d(a)[::-1], rho)
+            cell = grid.p[t_grid.index(t), x_grid.index(x)]
+            assert cell == pytest.approx(direct, abs=1e-12)
 
     def test_thread_count_does_not_change_values(self):
         model = make_model()
@@ -145,7 +149,8 @@ class TestHeatmap:
 
 class TestTimeAverage:
     def test_value_at_zero_is_one(self):
-        assert time_averaged_ccdf(make_model(), 0.0) == pytest.approx(1.0, abs=1e-12)
+        ev = TimeAverageEvaluator(make_model())
+        assert ev.value(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_decreasing_in_x(self):
         ev = TimeAverageEvaluator(make_model())
@@ -161,9 +166,8 @@ class TestTimeAverage:
         t_nodes = x + (np.arange(n) + 0.5) * tau / n
         grid = exact_ccdf_grid(model, t_nodes, [x])
         direct = grid.p[:, 0].mean()
-        assert time_averaged_ccdf(model, x, n_phase_nodes=256) == pytest.approx(
-            direct, abs=1e-10
-        )
+        ev = TimeAverageEvaluator(model, n_phase_nodes=256)
+        assert ev.value(x) == pytest.approx(direct, abs=1e-10)
 
     def test_rejects_negative_age(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from aoi_lab.links import (
     DelayModel,
     LinkFunction,
 )
-from aoi_lab.outputs import exact_ccdf_grid, exact_oracle
+from aoi_lab.outputs import exact_ccdf_grid
 from aoi_lab.simulate import (
     SimConfig,
     sample_delay_paths,
