@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_lab.cli import RunConfig, UsageError
-from aoi_lab.core import GenerationSchedule
+from aoi_lab.core import GenerationSchedule, block_length, decompose_time
 from aoi_lab.errors import CalibrationError
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -24,6 +24,8 @@ from aoi_lab.links import (
     lag_covariance,
     marginal_moments,
 )
+from aoi_lab.orthant import QuadratureSpec, std_normal_tail
+from aoi_lab.outputs import ccdf_profile
 
 # Reference values computed with independent adaptive-quadrature oracles
 # (nested root-finds over direct moment integrals; 2-D integration for the
@@ -230,3 +232,23 @@ class TestCorrelationAndModel:
     def test_build_model_ou_requires_time_constant(self):
         with pytest.raises(UsageError):
             RunConfig(SHIFTED_LOGNORMAL, x_min=0.5, mu=1.0, s=0.75, mode="ou")
+
+
+class TestThresholds:
+    def test_values_and_length(self):
+        # At (t=7.3, x=3.4) with tau=2 the phase is 1.3 and the two most
+        # recent packets matter, with delay thresholds 1.3 and 3.3; the
+        # exact profile is the joint tail over their Gaussian thresholds.
+        model = DelayModel(
+            lognormal_link(), CorrelationMode("iid"), GenerationSchedule(2.0)
+        )
+        dec = decompose_time(7.3, 2.0)
+        assert dec.k == 3
+        assert dec.phi == pytest.approx(1.3, rel=1e-12)
+        n = block_length(3.4, dec.phi, 2.0, dec.k)
+        assert n == 2
+        q = ccdf_profile(model, dec.phi, n, QuadratureSpec())
+        assert q.shape == (n + 1,)
+        a = [float(g_inverse(model.link, 1.3)), float(g_inverse(model.link, 3.3))]
+        expected = std_normal_tail(a[0]) * std_normal_tail(a[1])
+        assert q[n] == pytest.approx(expected, rel=1e-12)
