@@ -17,15 +17,16 @@ from aoi_lab import (
     marginal_moments,
 )
 
-target = CalibrationTarget(mu=1.0, s=0.75, x_min=0.5, c=10.0)
+target = CalibrationTarget(mu=1.0, s=0.75, x_min=0.5)
+c = 10.0
 
 for kind in ("shifted-lognormal", "censored-normal"):
     mu_hat, s_hat = calibrate_marginal(target, kind)
     link = LinkFunction(kind, target.x_min, mu_hat, s_hat)
-    kappa = calibrate_kappa(link, target.c)
+    kappa = calibrate_kappa(link, c)
 
     mean, sd = marginal_moments(link)
-    ratio = lag_covariance(link, math.exp(-kappa * target.c)) / lag_covariance(
+    ratio = lag_covariance(link, math.exp(-kappa * c)) / lag_covariance(
         link, 1.0
     )
 

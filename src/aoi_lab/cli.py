@@ -284,12 +284,13 @@ def _meta(cfg: RunConfig, command: str, started: float, extra: dict | None = Non
     return meta
 
 
-def _corr_label(cfg: RunConfig) -> float:
-    if cfg.mode == "iid":
-        return 0.0
-    if cfg.mode == "frozen":
-        return math.inf
-    return cfg.c if cfg.c is not None else math.nan
+def _corr_label(model: DelayModel) -> float:
+    """Time constant of the model's correlation; a rate alone implies
+    c = calibrate_kappa(link, 1) / kappa, since kappa is proportional to 1/c."""
+    corr = model.correlation
+    if corr.kind != "ou":
+        return 0.0 if corr.kind == "iid" else math.inf
+    return corr.c if corr.c is not None else calibrate_kappa(model.link, 1.0) / corr.kappa
 
 
 # -- commands --------------------------------------------------------------
@@ -332,11 +333,11 @@ def cmd_exact(cfg: RunConfig) -> int:
     grid = exact_ccdf_grid(model, t_values, x_values, spec, threads=cfg.threads)
     hm = heatmap(grid, cfg.delta)
     ev = TimeAverageEvaluator(model, spec)
-    avg = np.array([ev.value(float(x)) for x in x_values])
+    avg = ev.value(x_values)
     pct = percentiles(model, DEFAULT_LEVELS, spec, evaluator=ev)
     row = PercentileRow(
         link=cfg.link_kind,
-        c=_corr_label(cfg),
+        c=_corr_label(model),
         tau=cfg.tau,
         s=cfg.s if cfg.s is not None else marginal_moments(model.link)[1],
         levels=DEFAULT_LEVELS,
@@ -478,11 +479,12 @@ def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
             changes.update(mode="ou", kappa=None)
         try:
             row = replace(cfg, **changes)
-            pct = percentiles(row.model(), DEFAULT_LEVELS, spec)
+            model = row.model()
+            pct = percentiles(model, DEFAULT_LEVELS, spec)
             rows.append(
                 PercentileRow(
                     link=row.link_kind,
-                    c=_corr_label(row),
+                    c=_corr_label(model),
                     tau=row.tau,
                     s=row.s,
                     levels=DEFAULT_LEVELS,

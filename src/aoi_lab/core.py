@@ -12,7 +12,7 @@ age evaluation used by the simulator, and the CCDF grid container.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -116,7 +116,6 @@ class CcdfGrid:
     x_values: np.ndarray
     p: np.ndarray
     kind: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.t_values = np.asarray(self.t_values, dtype=float)

@@ -85,20 +85,17 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class CalibrationTarget:
-    """Requested delay marginal (mean, sd, left endpoint) and time constant."""
+    """Requested delay marginal (mean, sd, left endpoint)."""
 
     mu: float
     s: float
     x_min: float
-    c: float | None = None
 
     def __post_init__(self):
         if not self.mu > self.x_min:
             raise ValueError(f"target mean {self.mu} must exceed x_min {self.x_min}")
         if not self.s > 0:
             raise ValueError(f"target sd must be positive, got {self.s}")
-        if self.c is not None and not self.c > 0:
-            raise ValueError(f"time constant must be positive, got {self.c}")
 
 
 def g_apply(link: LinkFunction, z):

@@ -9,7 +9,9 @@ length n, so the whole law of A_t at phase phi is the profile
 Q_phi[0..n] from ccdf_profile, the single exact primitive every report
 here reads.  Grid cells are grouped into phase classes and each class is
 served by a single chain sweep whose prefixes yield every block length at
-once.
+once.  The time average is the exact phase integral of the profiles:
+Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
+integrated in closed form; percentiles invert it with brentq.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
+from scipy.optimize import brentq
 
 from .core import CcdfGrid, block_length, decompose_time
 from .errors import EvaluationError, QuadratureError
-from .links import DelayModel, g_inverse
+from .links import DelayModel, g_inverse, marginal_moments
 from .orthant import OuChain, QuadratureSpec, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
@@ -36,6 +40,18 @@ _TAIL_FLOOR = 1e-15
 
 # Number of decimals of phi/tau used to identify a phase class.
 _PHASE_DECIMALS = 10
+
+# The time average's phase law.  Q_phi[n] is smooth in phi except at
+# b = x_min mod tau, where a threshold leaves -inf.  [0, tau) is split at b,
+# and right of b, where the lognormal link's Q has a flat, non-analytic
+# endpoint, into _GRADE_LEVELS + 1 pieces whose widths shrink by
+# _GRADE_RATIO toward b.  Each piece is sampled at _CHEB_DEGREE + 1
+# first-kind Chebyshev points, which lie strictly inside it: Q jumps at b on
+# a censored link and at the period boundary, and a node on a piece's end
+# would read the far side of the jump.
+_CHEB_DEGREE = 8
+_GRADE_RATIO = 0.3
+_GRADE_LEVELS = 2
 
 
 def _phase_key(phi: float, tau: float) -> float:
@@ -107,7 +123,7 @@ def aoi_support(
     n*tau + phi) are the phase profile, so masses are differences of
     adjacent profile values and p_infinity (no packet arrived by t) is
     c[k+1].  The link's left endpoint x_min gates the smallest achievable
-    age index j_star.
+    age index j_star; an age of x_min itself is achievable.
     """
     spec = spec if spec is not None else QuadratureSpec()
     tau = model.schedule.tau
@@ -115,7 +131,7 @@ def aoi_support(
     k, phi = dec.k, dec.phi
     c = ccdf_profile(model, phi, k + 1, spec)
     x_min = model.link.x_min
-    j_star = next((j for j in range(k + 1) if x_min < j * tau + phi), k + 1)
+    j_star = next((j for j in range(k + 1) if x_min <= j * tau + phi), k + 1)
     ns = np.arange(j_star, k + 1)
     return AoiSupport(
         t=t,
@@ -169,17 +185,7 @@ def exact_ccdf_grid(
         q = profiles[key]
         for j, x in enumerate(x_grid):
             p[i, j] = q[block_length(float(x), phi, tau, dec.k)]
-    meta = {
-        "link": model.link.kind,
-        "x_min": model.link.x_min,
-        "mu_hat": model.link.mu_hat,
-        "s_hat": model.link.s_hat,
-        "correlation": model.correlation.kind,
-        "kappa": model.correlation.kappa,
-        "tau": tau,
-        "quadrature": {"m": spec.m, "L": spec.L},
-    }
-    return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact", meta=meta)
+    return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact")
 
 
 @dataclass
@@ -228,43 +234,58 @@ class TimeAverageEvaluator:
     """Time-averaged CCDF F_avg(x) = (1/tau) * integral over one period of
     Pr(A_t > x) dt, t in [x, x+tau].
 
-    The integrand is periodic in t (stationary delays), so a composite
-    midpoint rule over the phase with a fixed node set is used; chain
-    profiles per phase node are cached and grown lazily, making repeated
-    evaluation (percentile searches) cheap.
+    With x = j*tau + phi* and G_n(phi) the integral of Q_s[n] over s in
+    [0, phi], F_avg(x) = (G_{j+1}(phi*) + G_j(tau) - G_j(phi*)) / tau.  G is
+    the closed-form integral of the profiles' Chebyshev interpolants on the
+    phase pieces, so F_avg is continuous in x.
     """
 
-    def __init__(
-        self,
-        model: DelayModel,
-        spec: QuadratureSpec | None = None,
-        n_phase_nodes: int = 64,
-    ):
-        if n_phase_nodes < 8:
-            raise ValueError(f"n_phase_nodes must be >= 8, got {n_phase_nodes}")
+    def __init__(self, model: DelayModel, spec: QuadratureSpec | None = None):
         self.model = model
         self.spec = spec if spec is not None else QuadratureSpec()
         tau = model.schedule.tau
-        self.phases = (np.arange(n_phase_nodes) + 0.5) * tau / n_phase_nodes
-        self._profiles: dict[int, np.ndarray] = {}
+        # decompose_time snaps b: 0.5 % 0.1 is 0.09999999999999998, not 0.
+        b = decompose_time(model.link.x_min, tau).phi
+        graded = b + (tau - b) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1)
+        self.edges = np.concatenate(([0.0, b] if b > 0 else [0.0], graded[:-1], [tau]))
+        # Set by _grow: G per piece as Chebyshev coefficients (degree + 2,
+        # piece, n), and G at each piece's left edge and at tau (piece, n).
+        self._anti = self._base = np.zeros((0, 0))
 
-    def _profile(self, idx: int, n: int) -> np.ndarray:
-        q = self._profiles.get(idx)
-        if q is None or q.size <= n:
-            grown = max(n, 2 * (q.size - 1) if q is not None else 8)
-            q = ccdf_profile(self.model, float(self.phases[idx]), grown, self.spec)
-            self._profiles[idx] = q
-        return q
+    def _grow(self, n_max: int) -> None:
+        """Profiles at every phase node up to block length n_max."""
+        if self._base.shape[1] > n_max:
+            return
+        nodes = chebyshev.chebpts1(_CHEB_DEGREE + 1)
+        anti = []
+        for lo, hi in zip(self.edges, self.edges[1:]):
+            phases = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+            q = np.array([ccdf_profile(self.model, float(p), n_max, self.spec) for p in phases])
+            coef = chebyshev.chebfit(nodes, q, _CHEB_DEGREE)
+            anti.append(chebyshev.chebint(coef, lbnd=-1, scl=0.5 * (hi - lo)))
+        self._anti = np.stack(anti, axis=1)
+        totals = chebyshev.chebval(1.0, self._anti)
+        self._base = np.vstack([np.zeros(n_max + 1), np.cumsum(totals, axis=0)])
 
-    def value(self, x: float) -> float:
-        if x < 0:
+    def _integral(self, phi: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """G_n(phi), elementwise."""
+        piece = np.clip(np.searchsorted(self.edges, phi, side="right") - 1, 0, self.edges.size - 2)
+        lo, hi = self.edges[piece], self.edges[piece + 1]
+        t = 2.0 * (phi - lo) / (hi - lo) - 1.0
+        return self._base[piece, n] + chebyshev.chebval(t, self._anti[:, piece, n], tensor=False)
+
+    def value(self, x):
+        """F_avg at x, a scalar or an array; the profiles grow once to the
+        longest block the largest x needs."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(xs < 0):
             raise ValueError(f"x must be non-negative, got {x}")
         tau = self.model.schedule.tau
-        total = 0.0
-        for idx, phi in enumerate(self.phases):
-            n = block_length(x, float(phi), tau)
-            total += float(self._profile(idx, n)[n]) if n else 1.0
-        return total / self.phases.size
+        j = np.floor(xs / tau).astype(int)
+        phi = np.clip(xs - j * tau, 0.0, tau)
+        self._grow(int(j.max()) + 1)
+        out = (self._integral(phi, j + 1) + self._base[-1, j] - self._integral(phi, j)) / tau
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @dataclass
@@ -291,47 +312,29 @@ def percentiles(
     model: DelayModel,
     levels: Sequence[float] = DEFAULT_LEVELS,
     spec: QuadratureSpec | None = None,
-    n_phase_nodes: int = 64,
     x_ceiling: float | None = None,
     evaluator: TimeAverageEvaluator | None = None,
 ) -> np.ndarray:
     """Generalized inverses inf{x >= 0 : F_avg(x) <= 1 - p} for each level.
 
-    Returns +inf for levels whose quantile lies beyond the search ceiling
-    (default 50*tau + 20*mean delay).
+    F_avg falls continuously from F_avg(0) = 1, so brentq finds each level in
+    one bracket [0, hi], hi doubling from tau + mean delay past the deepest
+    level.  Returns +inf for levels still above F_avg(hi) once hi passes the
+    search ceiling (default 50*tau + 20*mean delay).
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
-    from .links import marginal_moments
-
-    ev = evaluator or TimeAverageEvaluator(model, spec, n_phase_nodes)
+    ev = evaluator or TimeAverageEvaluator(model, spec)
     tau = model.schedule.tau
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
-    tol = 1e-4 * tau
-    out = np.empty(len(levels))
-    for i, p in enumerate(levels):
-        target = 1.0 - p
-        if ev.value(0.0) <= target:
-            out[i] = 0.0
-            continue
-        lo, hi = 0.0, tau + mean_delay
-        while ev.value(hi) > target:
-            lo = hi
-            hi *= 2.0
-            if hi > ceiling:
-                break
-        if ev.value(hi) > target:
-            out[i] = np.inf
-            continue
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if ev.value(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = hi
-    return out
+    targets = [1.0 - p for p in levels]
+    hi = tau + mean_delay
+    while ev.value(hi) > min(targets) and hi <= ceiling:
+        hi *= 2.0
+    f_hi = ev.value(hi)
+    roots = [brentq(lambda x: ev.value(x) - t, 0.0, hi) if f_hi <= t else np.inf for t in targets]
+    return np.array(roots)
 
 
 @dataclass

@@ -9,7 +9,7 @@ CCDF grid used to cross-validate the exact engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import math
@@ -121,12 +121,6 @@ def simulate_empirical_ccdf(config: SimConfig) -> EmpiricalCcdf:
         x_values=x_grid,
         p=p,
         kind="empirical",
-        meta={
-            "n_paths": config.n_paths,
-            "seed": config.seed,
-            "correlation": config.model.correlation.kind,
-            "link": config.model.link.kind,
-        },
     )
     return EmpiricalCcdf(
         grid=grid, stderr=stderr, n_infinite=n_infinite, n_paths=config.n_paths

@@ -231,9 +231,7 @@ def test_criterion_7_percentile_sweep(capsys):
                     else:
                         corr = CorrelationMode("ou", kappa=calibrate_kappa(link, c))
                     model = DelayModel(link, corr, schedule)
-                    rows.append(
-                        percentiles(model, DEFAULT_LEVELS, spec, n_phase_nodes=32)
-                    )
+                    rows.append(percentiles(model, DEFAULT_LEVELS, spec))
                 tol = 1e-4 * tau  # bisection resolution of each percentile
                 for prev, curr in zip(rows, rows[1:]):
                     if np.any(curr < prev - 2 * tol):

@@ -21,6 +21,7 @@ from aoi_lab.cli import (
     load_config,
     main,
 )
+from aoi_lab.links import calibrate_kappa
 
 BASE_CONFIG = {
     "link": {"kind": "shifted-lognormal", "x_min": 0.5, "mu": 1.0, "s": 0.75},
@@ -245,6 +246,22 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert len((out / "percentiles.csv").read_text().strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("command", [["exact"], ["sweep", "--param", "tau=2.0"]],
+                             ids=["exact", "sweep"])
+    def test_kappa_config_reports_its_time_constant(self, config_path, tmp_path,
+                                                     command):
+        # The c column holds the time constant the rate implies, so a rate
+        # calibrated from c = 10 reads back 10.
+        kappa = calibrate_kappa(RunConfig.from_dict(BASE_CONFIG).model().link, 10.0)
+        out = tmp_path / command[0]
+        assert main(command + ["--config", config_path, "--out", str(out),
+                               "--set", "quadrature.m=128",
+                               "--set", "correlation.c=null",
+                               "--set", f"correlation.kappa={kappa!r}"]) == EXIT_OK
+        lines = (out / "percentiles.csv").read_text().strip().split("\n")
+        assert lines[0].startswith("link,c,tau,s,")
+        assert lines[1].split(",")[1] == "10"
 
     @pytest.mark.parametrize("c,mode", [("0", "iid"), ("inf", "frozen")])
     def test_exact_routes_degenerate_time_constants(self, config_path, tmp_path,

@@ -206,6 +206,15 @@ class TestAoiSupport:
         assert sup.atoms[idx] == pytest.approx(1.3, abs=1e-12)
         assert sup.masses[idx] == pytest.approx(1.0, abs=1e-12)
 
+    def test_keeps_atom_at_minimum_delay_on_the_lattice(self):
+        # x_min = 0.5 equals the phase at t = 3.5, and the censored link puts
+        # mass on D = x_min, so the age 0.5 is an atom of A_t.
+        model = gaussian_model(x_min=0.5, mu_hat=0.6, s_hat=0.5, tau=1.0,
+                               link_kind=CENSORED_NORMAL, kappa=0.1)
+        sup = aoi_support(model, 3.5)
+        assert sup.j_star == 0
+        assert sup.masses.sum() + sup.p_infinity == pytest.approx(1.0, abs=1e-12)
+
     def test_minimum_delay_gates_smallest_atom(self):
         # If delays cannot go below 1.4 > phi = 1.3, the age cannot be 1.3.
         sup = aoi_support(gaussian_model(x_min=1.4), 7.3)

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from aoi_lab.core import GenerationSchedule, decompose_time
 from aoi_lab.links import (
@@ -157,17 +159,37 @@ class TestTimeAverage:
         values = [ev.value(x) for x in np.arange(0.0, 8.0, 0.5)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_matches_fine_time_grid_average(self):
-        # Average the exact CCDF over one period with a dense midpoint grid
-        # directly and compare against the phase-node evaluator.
-        model = make_model()
-        x, tau = 3.0, 2.0
-        n = 256
-        t_nodes = x + (np.arange(n) + 0.5) * tau / n
-        grid = exact_ccdf_grid(model, t_nodes, [x])
-        direct = grid.p[:, 0].mean()
-        ev = TimeAverageEvaluator(model, n_phase_nodes=256)
-        assert ev.value(x) == pytest.approx(direct, abs=1e-10)
+    @pytest.mark.parametrize("kind", ["iid", "frozen"])
+    @pytest.mark.parametrize(
+        "link_kind,tau", [(SHIFTED_LOGNORMAL, 2.0), (CENSORED_NORMAL, 0.5)]
+    )
+    def test_matches_quad_over_closed_form_profiles(self, kind, link_kind, tau):
+        # F_avg(x) = (1/tau) * integral over the phase s of Pr(A_s > x): the
+        # n = floor((x - s)/tau) + 1 latest packets are all late (certain
+        # for x < s).  The iid and frozen tails are written out here and
+        # integrated by quad, split where the integrand is not smooth: at
+        # b = x_min mod tau and at x mod tau.  The censored link has
+        # x_min = tau, so its profile jumps at the period boundary.
+        model = make_model(kind, tau=tau, link_kind=link_kind)
+
+        def ccdf_at_phase(s, x):
+            if x < s:
+                return 1.0
+            n = int((x - s) // tau) + 1
+            tails = norm.sf(g_inverse(model.link, np.arange(n) * tau + s))
+            return float(np.prod(tails) if kind == "iid" else np.min(tails))
+
+        ev = TimeAverageEvaluator(model)
+        for x in (0.6, 0.93, 1.7, 2.6, 4.1):
+            breaks = [p for p in (model.link.x_min % tau, x % tau) if 0 < p < tau]
+            direct = quad(ccdf_at_phase, 0.0, tau, args=(x,), points=breaks,
+                          epsabs=1e-13, epsrel=1e-12, limit=200)[0] / tau
+            assert ev.value(x) == pytest.approx(direct, abs=1e-6), x
+
+    def test_takes_an_array_of_ages(self):
+        ev = TimeAverageEvaluator(make_model())
+        xs = np.array([0.0, 0.7, 2.5, 9.9])
+        assert np.array_equal(ev.value(xs), [ev.value(float(x)) for x in xs])
 
     def test_rejects_negative_age(self):
         with pytest.raises(ValueError):
@@ -186,7 +208,7 @@ class TestPercentiles:
         vals = percentiles(model, (0.5,), evaluator=ev)
         q = float(vals[0])
         tol = 1e-4 * model.schedule.tau
-        # F_avg crosses the 0.5 level within the bisection tolerance of q.
+        # F_avg crosses the 0.5 level at q, to within 2 * tol.
         assert ev.value(max(q - 2 * tol, 0.0)) >= 0.5 - 1e-9
         assert ev.value(q + 2 * tol) <= 0.5 + 1e-9
 
