@@ -27,10 +27,11 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from .core import CcdfGrid, block_length, decompose_time
 from .errors import EvaluationError, QuadratureError
-from .links import DelayModel, g_inverse, marginal_moments
+from .links import DelayModel, g_apply, g_inverse, marginal_moments
 from .orthant import OuChain, QuadratureSpec, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
@@ -318,9 +319,13 @@ def percentiles(
     """Generalized inverses inf{x >= 0 : F_avg(x) <= 1 - p} for each level.
 
     F_avg falls continuously from F_avg(0) = 1, so brentq finds each level in
-    one bracket [0, hi], hi doubling from tau + mean delay past the deepest
-    level.  Returns +inf for levels still above F_avg(hi) once hi passes the
-    search ceiling (default 50*tau + 20*mean delay).
+    one bracket [0, hi].  hi starts at tau plus the delay quantile q at the
+    deepest level p, or at the search ceiling (default 50*tau + 20*mean
+    delay) if that is lower.  For x >= tau, A_t > x needs the packet
+    generated in [t - x, t - x + tau) still in flight, so F_avg(tau + q) <=
+    Pr(D > q) <= 1 - p under any correlation, and the profiles grow once.
+    Otherwise hi doubles, and levels still above F_avg(hi) once hi passes
+    the ceiling return +inf.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
@@ -329,7 +334,7 @@ def percentiles(
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
     targets = [1.0 - p for p in levels]
-    hi = tau + mean_delay
+    hi = min(tau + g_apply(model.link, ndtri(max(levels))), ceiling)
     while ev.value(hi) > min(targets) and hi <= ceiling:
         hi *= 2.0
     f_hi = ev.value(hi)

@@ -3,8 +3,10 @@
 The Gaussian driver is sampled exactly on the generation grid (the OU
 one-step transition is available in closed form, so there is no
 time-discretization error), mapped through the link function, and turned
-into age sample paths.  Aggregated indicator fractions give an empirical
-CCDF grid used to cross-validate the exact engine.
+into age sample paths.  The empirical CCDF grid used to cross-validate the
+exact engine counts, per observation time, the sorted ages above each x,
+streaming over chunks of paths drawn from one continuing generator, so its
+memory does not grow with the number of paths.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import numpy as np
 
 from .core import CcdfGrid, aoi_path_matrix
 from .links import DelayModel, g_apply
+
+# Paths simulated at once by simulate_empirical_ccdf.  Memory is
+# O(_CHUNK_PATHS * n_packets); the draws do not depend on it.
+_CHUNK_PATHS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,25 @@ class EmpiricalCcdf:
     n_paths: int
 
 
+def _generator(seed: int | np.random.Generator) -> np.random.Generator:
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def sample_ou_on_grid(
-    kappa: float, tau: float, n: int, seed: int, n_paths: int = 1
+    kappa: float,
+    tau: float,
+    n: int,
+    seed: int | np.random.Generator,
+    n_paths: int = 1,
 ) -> np.ndarray:
     """Stationary OU samples at times 0, tau, ..., (n-1)*tau, exact in
     distribution: Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i.
 
-    Returns shape (n_paths, n); deterministic given the seed.
+    Returns shape (n_paths, n); deterministic given the seed.  A Generator
+    in place of the seed is drawn from and advanced: rows drawn in chunks
+    from one Generator equal one draw of all rows from its seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -64,8 +82,7 @@ def sample_ou_on_grid(
         raise ValueError(f"kappa must be positive, got {kappa}")
     rho = math.exp(-kappa * tau)
     noise_scale = math.sqrt(1.0 - rho * rho)
-    rng = np.random.Generator(np.random.Philox(seed))
-    xi = rng.standard_normal((n_paths, n))
+    xi = _generator(seed).standard_normal((n_paths, n))
     z = np.empty((n_paths, n))
     z[:, 0] = xi[:, 0]
     for i in range(1, n):
@@ -73,14 +90,17 @@ def sample_ou_on_grid(
     return z
 
 
-def sample_driver(model: DelayModel, n: int, seed: int, n_paths: int) -> np.ndarray:
-    """Gaussian driver samples on the generation grid for any correlation mode."""
+def sample_driver(
+    model: DelayModel, n: int, seed: int | np.random.Generator, n_paths: int
+) -> np.ndarray:
+    """Gaussian driver samples on the generation grid for any correlation
+    mode; seed is an integer or a Generator, as in sample_ou_on_grid."""
     mode = model.correlation
     if mode.kind == "ou":
         return sample_ou_on_grid(
             mode.kappa, model.schedule.tau, n, seed, n_paths=n_paths
         )
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _generator(seed)
     if mode.kind == "iid":
         return rng.standard_normal((n_paths, n))
     # Frozen: every sample equals the time-zero state.
@@ -88,13 +108,15 @@ def sample_driver(model: DelayModel, n: int, seed: int, n_paths: int) -> np.ndar
     return np.broadcast_to(z0, (n_paths, n)).copy()
 
 
+def _n_packets(config: SimConfig) -> int:
+    """Packets up to the last generation instant inside the horizon."""
+    return int(math.floor(config.horizon / config.model.schedule.tau)) + 1
+
+
 def sample_delay_paths(config: SimConfig) -> np.ndarray:
-    """Delay sequences, shape (n_paths, n_packets) with packets up to the
-    last generation instant inside the horizon."""
-    model = config.model
-    n_packets = int(math.floor(config.horizon / model.schedule.tau)) + 1
-    z = sample_driver(model, n_packets, config.seed, config.n_paths)
-    return g_apply(model.link, z)
+    """Delay sequences, shape (n_paths, n_packets)."""
+    z = sample_driver(config.model, _n_packets(config), config.seed, config.n_paths)
+    return g_apply(config.model.link, z)
 
 
 def simulate_aoi_paths(config: SimConfig) -> np.ndarray:
@@ -103,19 +125,42 @@ def simulate_aoi_paths(config: SimConfig) -> np.ndarray:
     return aoi_path_matrix(delays, config.model.schedule, config.t_grid)
 
 
+def _chunk_counts(
+    config: SimConfig, rng: np.random.Generator, size: int, x_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For size fresh paths: per observation time, the number of ages above
+    each x and the number of infinite ages.  The chunk's arrays are freed on
+    return, before the next chunk is drawn."""
+    model = config.model
+    z = sample_driver(model, _n_packets(config), rng, size)
+    ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, config.t_grid)
+    by_time = np.sort(ages.T, axis=1)
+    above = [size - np.searchsorted(a, x_grid, side="right") for a in by_time]
+    return np.array(above, dtype=np.int64), np.isinf(by_time).sum(axis=1)
+
+
 def simulate_empirical_ccdf(config: SimConfig) -> EmpiricalCcdf:
     """Empirical Pr(A_t > x) over the configured grid.
 
-    Infinite ages (no packet arrived yet) exceed every finite threshold
-    and are additionally counted per observation time.
+    Each chunk of paths adds, per observation time, the number of its ages
+    above each x: the sorted ages past a searchsorted(side="right") index,
+    so ages on the lattice that equal x do not count.  Infinite ages (no
+    packet arrived yet) sort last, exceed every finite threshold and are
+    additionally counted per observation time.  The counts are exact
+    integers, so p equals the mean of the per-path indicators bit for bit.
     """
-    ages = simulate_aoi_paths(config)
     t_grid = np.asarray(config.t_grid, dtype=float)
     x_grid = np.asarray(config.x_grid, dtype=float)
-    exceed = ages[:, :, None] > x_grid[None, None, :]
-    p = exceed.mean(axis=0)
+    rng = _generator(config.seed)
+    counts = np.zeros((t_grid.size, x_grid.size), dtype=np.int64)
+    n_infinite = np.zeros(t_grid.size, dtype=np.int64)
+    for start in range(0, config.n_paths, _CHUNK_PATHS):
+        size = min(_CHUNK_PATHS, config.n_paths - start)
+        above, infinite = _chunk_counts(config, rng, size, x_grid)
+        counts += above
+        n_infinite += infinite
+    p = counts / config.n_paths
     stderr = np.sqrt(p * (1.0 - p) / config.n_paths)
-    n_infinite = np.isinf(ages).sum(axis=0)
     grid = CcdfGrid(
         t_values=t_grid,
         x_values=x_grid,

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from aoi_lab import outputs
 from aoi_lab.core import GenerationSchedule, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -17,6 +18,7 @@ from aoi_lab.links import (
     CorrelationMode,
     DelayModel,
     LinkFunction,
+    calibrate_kappa,
     g_inverse,
 )
 from aoi_lab.orthant import QuadratureSpec, ou_orthant, std_normal_tail
@@ -211,6 +213,23 @@ class TestPercentiles:
         # F_avg crosses the 0.5 level at q, to within 2 * tol.
         assert ev.value(max(q - 2 * tol, 0.0)) >= 0.5 - 1e-9
         assert ev.value(q + 2 * tol) <= 0.5 + 1e-9
+
+    def test_each_phase_profile_is_computed_once(self, monkeypatch):
+        # A criterion-7 row (tau 0.1, c 10).  A bracket that starts too low
+        # doubles and recomputes all 27 phase profiles to a longer block.
+        link = make_model().link
+        model = make_model(kappa=calibrate_kappa(link, 10.0), tau=0.1)
+        phases = []
+        profile = outputs.ccdf_profile
+
+        def counted(model, phi, n_max, spec):
+            phases.append(phi)
+            return profile(model, phi, n_max, spec)
+
+        monkeypatch.setattr(outputs, "ccdf_profile", counted)
+        vals = percentiles(model, DEFAULT_LEVELS, QuadratureSpec(m=64))
+        assert np.all(np.isfinite(vals))
+        assert len(phases) == len(set(phases)) == 27
 
     def test_unreachable_level_is_infinite(self):
         # The frozen lognormal age has an unbounded heavy tail, so a deep

@@ -1,16 +1,19 @@
 """Monte-Carlo engine: exact driver sampling and empirical CCDFs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aoi_lab import simulate
 from aoi_lab.core import GenerationSchedule
 from aoi_lab.links import (
     SHIFTED_LOGNORMAL,
     CorrelationMode,
     DelayModel,
     LinkFunction,
+    calibrate_kappa,
 )
 from aoi_lab.outputs import exact_ccdf_grid
 from aoi_lab.simulate import (
@@ -18,6 +21,7 @@ from aoi_lab.simulate import (
     sample_delay_paths,
     sample_driver,
     sample_ou_on_grid,
+    simulate_aoi_paths,
     simulate_empirical_ccdf,
 )
 
@@ -114,3 +118,50 @@ class TestEmpiricalCcdf:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             SimConfig(make_model(), n_paths=0, seed=1, t_grid=[1.0], x_grid=[1.0])
+
+
+class TestStreamedCcdf:
+    """Per-time sorted counts over path chunks against the dense mean of
+    the per-path indicators."""
+
+    @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
+    def test_chunked_driver_equals_one_draw(self, kind):
+        model = make_model(kind)
+        rng = np.random.Generator(np.random.Philox(11))
+        parts = [sample_driver(model, 7, rng, k) for k in (3, 5, 1, 4)]
+        assert np.array_equal(np.vstack(parts), sample_driver(model, 7, seed=11, n_paths=13))
+
+    @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
+    def test_byte_identical_to_dense_indicator_mean(self, kind):
+        # A partial last chunk; x on the age lattice t - n*tau (ties), and
+        # 1e9, which only infinite ages exceed.
+        n_paths = 2 * simulate._CHUNK_PATHS + 1
+        t_grid = [0.5, 2.5, 5.5]
+        x_grid = [0.0, 0.5, 1.0, 1.5, 2.25, 2.5, 4.5, 1e9]
+        cfg = SimConfig(make_model(kind), n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
+        ages = simulate_aoi_paths(cfg)
+        x = np.asarray(x_grid)
+        assert np.isin(ages, x).any()
+        p = (ages[:, :, None] > x).mean(axis=0)
+        emp = simulate_empirical_ccdf(cfg)
+        assert np.array_equal(emp.grid.p, p)
+        assert np.array_equal(emp.stderr, np.sqrt(p * (1.0 - p) / n_paths))
+        assert np.array_equal(emp.n_infinite, np.isinf(ages).sum(axis=0))
+
+    def test_memory_does_not_grow_with_paths(self):
+        # The README config: c = 10, tau = 2, 20 times by 501 x values.
+        model = make_model(kappa=calibrate_kappa(make_model().link, 10.0), tau=2.0)
+        t_grid = np.arange(1, 21) * 0.5
+        x_grid = np.arange(501) * 0.02
+
+        def peak(n_paths):
+            cfg = SimConfig(model, n_paths, seed=3, t_grid=t_grid, x_grid=x_grid)
+            tracemalloc.start()
+            try:
+                simulate_empirical_ccdf(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = simulate._CHUNK_PATHS
+        assert peak(4 * chunk) <= 1.5 * peak(chunk)
