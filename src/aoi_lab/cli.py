@@ -332,7 +332,7 @@ def cmd_exact(cfg: RunConfig) -> int:
     x_values = cfg.x_grid.values()
     grid = exact_ccdf_grid(model, t_values, x_values, spec, threads=cfg.threads)
     hm = heatmap(grid, cfg.delta)
-    ev = TimeAverageEvaluator(model, spec)
+    ev = TimeAverageEvaluator(model, spec, threads=cfg.threads)
     avg = ev.value(x_values)
     pct = percentiles(model, DEFAULT_LEVELS, spec, evaluator=ev)
     row = PercentileRow(
@@ -480,7 +480,7 @@ def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
         try:
             row = replace(cfg, **changes)
             model = row.model()
-            pct = percentiles(model, DEFAULT_LEVELS, spec)
+            pct = percentiles(model, DEFAULT_LEVELS, spec, threads=cfg.threads)
             rows.append(
                 PercentileRow(
                     link=row.link_kind,

@@ -11,6 +11,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,15 @@ def std_normal_tail(x):
 
 def _std_normal_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+
+
+def _std_normal_pdf_in_place(x: np.ndarray) -> None:
+    """_std_normal_pdf(x) written over x, with the same operations in the
+    same order."""
+    np.square(x, out=x)
+    x *= -0.5
+    np.exp(x, out=x)
+    x *= _INV_SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,10 @@ class OuChain:
         self._weights: np.ndarray | None = None
         self._density: np.ndarray | None = None
         self._lo: float | None = None
+        # Flat work array for the stage kernel, reused by every stage and
+        # grown only when a stage needs more room.  Fresh megabyte-sized
+        # temporaries per stage cost more in page faults than in arithmetic.
+        self._work = np.empty(0)
         # The u-form stage update resolves the transition kernel on the
         # previous grid only while its width sd/rho exceeds several node
         # spacings; below that we integrate over the innovation instead.
@@ -157,13 +171,29 @@ class OuChain:
         self._lo = lo_new
         return self.prob
 
+    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of the work array with the given shape."""
+        size = math.prod(shape)
+        if self._work.size < size:
+            self._work = np.empty(size)
+        return self._work[:size].reshape(shape)
+
     def _propagate(self, targets: np.ndarray) -> np.ndarray:
         """Density of the next state at the target nodes, given the events
-        accumulated so far (normalized over the whole real line)."""
+        accumulated so far (normalized over the whole real line).
+
+        Both branches build their kernel in the work array with the
+        operations of the whole-array formulas (in the comments), in the
+        same order, so every value has the bits the formula gives."""
         rho, sd = self.rho, self.sd
         if sd / rho >= self._kernel_width_floor:
-            # Direct integration over the previous state u.
-            k = _std_normal_pdf((targets[:, None] - rho * self._nodes) / sd) / sd
+            # Direct integration over the previous state u:
+            # k = _std_normal_pdf((targets[:, None] - rho * nodes) / sd) / sd.
+            k = self._scratch((targets.size, self._nodes.size))
+            np.subtract(targets[:, None], rho * self._nodes, out=k)
+            k /= sd
+            _std_normal_pdf_in_place(k)
+            k /= sd
             return k @ (self._weights * self._density)
         # Near-frozen regime: integrate over the innovation v with the
         # previous density interpolated, so the kernel never gets narrower
@@ -176,10 +206,22 @@ class OuChain:
         span = np.maximum(v_hi - v_lo, 0.0)
         x, w = _gauss_legendre(min(spec.m, 256))
         half = 0.5 * span[:, None]
-        v = v_lo[:, None] + half * (x + 1.0)
-        u = np.clip((targets[:, None] - sd * v) / rho, self._lo, spec.L)
-        f = np.clip(spline(u), 0.0, None)
-        raw = (half * w) * _std_normal_pdf(v) * f
+        # v = v_lo[:, None] + half * (x + 1.0)
+        # u = clip((targets[:, None] - sd * v) / rho, lo, L)
+        # raw = (half * w) * _std_normal_pdf(v) * clip(spline(u), 0, None)
+        v, u = self._scratch((2, targets.size, x.size))
+        np.multiply(half, x + 1.0, out=v)
+        v += v_lo[:, None]
+        np.multiply(v, sd, out=u)
+        np.subtract(targets[:, None], u, out=u)
+        u /= rho
+        np.clip(u, self._lo, spec.L, out=u)
+        f = spline(u)
+        np.clip(f, 0.0, None, out=f)
+        _std_normal_pdf_in_place(v)
+        raw = np.multiply(half, w, out=u)
+        raw *= v
+        raw *= f
         return raw.sum(axis=1) / rho
 
 

@@ -100,6 +100,29 @@ def ccdf_profile(
     return q
 
 
+def _profiles(
+    model: DelayModel,
+    tasks: Sequence[tuple[float, int]],
+    spec: QuadratureSpec,
+    threads: int,
+) -> list[np.ndarray]:
+    """ccdf_profile at each (phi, n_max) in tasks, in order, on a pool of
+    up to `threads` worker threads.  Outputs do not depend on `threads`:
+    every profile is computed alone, by the same chain sweep."""
+
+    def compute(task: tuple[float, int]) -> np.ndarray:
+        phi, n_max = task
+        try:
+            return ccdf_profile(model, phi, n_max, spec)
+        except QuadratureError as exc:
+            raise QuadratureError(f"phase phi={phi}: {exc}") from exc
+
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(compute, tasks))
+    return [compute(t) for t in tasks]
+
+
 @dataclass(frozen=True)
 class AoiSupport:
     """Finite support of A_t: candidate ages n*tau + phi_t plus infinity."""
@@ -166,18 +189,8 @@ def exact_ccdf_grid(
         n_row = max((block_length(float(x), phi, tau, dec.k) for x in x_grid), default=0)
         needs[key] = max(needs.get(key, 0), n_row)
 
-    def compute(key: float) -> tuple[float, np.ndarray]:
-        try:
-            return key, ccdf_profile(model, key * tau, needs[key], spec)
-        except QuadratureError as exc:
-            raise QuadratureError(f"phase class phi={key * tau}: {exc}") from exc
-
     keys = sorted(needs)
-    if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = dict(pool.map(compute, keys))
-    else:
-        profiles = dict(compute(k) for k in keys)
+    profiles = dict(zip(keys, _profiles(model, [(k * tau, needs[k]) for k in keys], spec, threads)))
 
     p = np.empty((t_grid.size, x_grid.size))
     for i, dec in enumerate(decs):
@@ -238,12 +251,16 @@ class TimeAverageEvaluator:
     With x = j*tau + phi* and G_n(phi) the integral of Q_s[n] over s in
     [0, phi], F_avg(x) = (G_{j+1}(phi*) + G_j(tau) - G_j(phi*)) / tau.  G is
     the closed-form integral of the profiles' Chebyshev interpolants on the
-    phase pieces, so F_avg is continuous in x.
+    phase pieces, so F_avg is continuous in x.  The profiles are computed
+    on up to `threads` worker threads; the values do not depend on it.
     """
 
-    def __init__(self, model: DelayModel, spec: QuadratureSpec | None = None):
+    def __init__(
+        self, model: DelayModel, spec: QuadratureSpec | None = None, threads: int = 1
+    ):
         self.model = model
         self.spec = spec if spec is not None else QuadratureSpec()
+        self.threads = threads
         tau = model.schedule.tau
         # decompose_time snaps b: 0.5 % 0.1 is 0.09999999999999998, not 0.
         b = decompose_time(model.link.x_min, tau).phi
@@ -258,11 +275,15 @@ class TimeAverageEvaluator:
         if self._base.shape[1] > n_max:
             return
         nodes = chebyshev.chebpts1(_CHEB_DEGREE + 1)
+        pieces = list(zip(self.edges, self.edges[1:]))
+        phases = np.concatenate([lo + 0.5 * (hi - lo) * (nodes + 1.0) for lo, hi in pieces])
+        tasks = [(float(p), n_max) for p in phases]
+        q = np.reshape(
+            _profiles(self.model, tasks, self.spec, self.threads), (len(pieces), nodes.size, -1)
+        )
         anti = []
-        for lo, hi in zip(self.edges, self.edges[1:]):
-            phases = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-            q = np.array([ccdf_profile(self.model, float(p), n_max, self.spec) for p in phases])
-            coef = chebyshev.chebfit(nodes, q, _CHEB_DEGREE)
+        for (lo, hi), q_piece in zip(pieces, q):
+            coef = chebyshev.chebfit(nodes, q_piece, _CHEB_DEGREE)
             anti.append(chebyshev.chebint(coef, lbnd=-1, scl=0.5 * (hi - lo)))
         self._anti = np.stack(anti, axis=1)
         totals = chebyshev.chebval(1.0, self._anti)
@@ -315,6 +336,7 @@ def percentiles(
     spec: QuadratureSpec | None = None,
     x_ceiling: float | None = None,
     evaluator: TimeAverageEvaluator | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """Generalized inverses inf{x >= 0 : F_avg(x) <= 1 - p} for each level.
 
@@ -324,19 +346,20 @@ def percentiles(
     delay) if that is lower.  For x >= tau, A_t > x needs the packet
     generated in [t - x, t - x + tau) still in flight, so F_avg(tau + q) <=
     Pr(D > q) <= 1 - p under any correlation, and the profiles grow once.
-    Otherwise hi doubles, and levels still above F_avg(hi) once hi passes
-    the ceiling return +inf.
+    Otherwise hi doubles up to the ceiling, and a level still above F_avg
+    at the ceiling returns +inf: +inf means the percentile lies beyond it.
+    An evaluator built here computes its profiles on `threads` threads.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
-    ev = evaluator or TimeAverageEvaluator(model, spec)
+    ev = evaluator or TimeAverageEvaluator(model, spec, threads)
     tau = model.schedule.tau
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
     targets = [1.0 - p for p in levels]
     hi = min(tau + g_apply(model.link, ndtri(max(levels))), ceiling)
-    while ev.value(hi) > min(targets) and hi <= ceiling:
-        hi *= 2.0
+    while ev.value(hi) > min(targets) and hi < ceiling:
+        hi = min(2.0 * hi, ceiling)
     f_hi = ev.value(hi)
     roots = [brentq(lambda x: ev.value(x) - t, 0.0, hi) if f_hi <= t else np.inf for t in targets]
     return np.array(roots)

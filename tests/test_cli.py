@@ -188,6 +188,18 @@ class TestCommands:
             outs.append((out / "ccdf.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_sweep_is_thread_invariant(self, config_path, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(
+                ["sweep", "--config", config_path, "--out", str(out),
+                 "--param", "c=0.1,10", "--param", "tau=0.5,2.0",
+                 "--set", "quadrature.m=64", "--threads", threads]
+            ) == EXIT_OK
+            outs.append((out / "percentiles.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_compare_passes_on_consistent_model(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "cmp")
         code = main(["compare", "--config", config_path, "--out", out,

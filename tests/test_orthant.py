@@ -1,11 +1,13 @@
 """Gaussian joint-tail engine: closed forms, limits, and invariances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
 from aoi_lab.errors import QuadratureError
@@ -137,6 +139,69 @@ class TestOuOrthant:
         chain.extend(0.0)
         assert chain.extend(39.0) == 0.0
         assert chain.extend(0.0) == 0.0
+
+
+def _pdf(x):
+    return (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * np.square(x))
+
+
+class AllocatingChain(OuChain):
+    """OuChain with the stage update written as whole-array expressions,
+    each allocating its own temporaries: the reference for the in-place
+    update."""
+
+    def _propagate(self, targets):
+        rho, sd = self.rho, self.sd
+        if sd / rho >= self._kernel_width_floor:
+            k = _pdf((targets[:, None] - rho * self._nodes) / sd) / sd
+            return k @ (self._weights * self._density)
+        spline = CubicSpline(self._nodes, self._density)
+        spec = self.spec
+        v_hi = np.minimum(spec.L, (targets - rho * self._lo) / sd)
+        v_lo = np.maximum(-spec.L, (targets - rho * spec.L) / sd)
+        span = np.maximum(v_hi - v_lo, 0.0)
+        x, w = np.polynomial.legendre.leggauss(min(spec.m, 256))
+        half = 0.5 * span[:, None]
+        v = v_lo[:, None] + half * (x + 1.0)
+        u = np.clip((targets[:, None] - sd * v) / rho, self._lo, spec.L)
+        f = np.clip(spline(u), 0.0, None)
+        raw = (half * w) * _pdf(v) * f
+        return raw.sum(axis=1) / rho
+
+
+class TestStageUpdate:
+    @pytest.mark.parametrize("rho,m", [(0.5, 64), (0.5, 400), (0.99, 256)])
+    def test_matches_allocating_update_bit_for_bit(self, rho, m):
+        # rho 0.99 runs the spline branch.  The thresholds include vacuous
+        # ones, and a threshold just below the edge rho*1.0 gets a thin
+        # panel with the floor of nodes, so node counts vary from stage to
+        # stage and the work array must regrow.
+        spec = QuadratureSpec(m=m)
+        chain, ref = OuChain(rho, spec), AllocatingChain(rho, spec)
+        sizes = set()
+        for a in [-np.inf, -1.0, 0.5, -np.inf, 1.0, rho - 0.01, 0.2, 1.5, -0.4]:
+            assert chain.extend(a) == ref.extend(a)
+            assert chain._density.tobytes() == ref._density.tobytes()
+            sizes.add(chain._nodes.size)
+        assert len(sizes) > 1
+        assert chain.prob > 0.0
+
+    def test_stages_allocate_no_kernel(self):
+        # At m = 400 one kernel is an m x m float array (1.28 MB).  Once the
+        # work array exists, further stages allocate only node vectors.
+        m = 400
+        chain = OuChain(0.5, QuadratureSpec(m=m))
+        chain.extend(0.0)
+        chain.extend(0.0)
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                chain.extend(0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain.prob > 0.0
+        assert peak < m * m * 8
 
 
 class TestDegenerateLimits:

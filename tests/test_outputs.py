@@ -197,6 +197,31 @@ class TestTimeAverage:
         with pytest.raises(ValueError):
             TimeAverageEvaluator(make_model()).value(-1.0)
 
+    def test_converges_in_chebyshev_degree(self, monkeypatch):
+        # The README model (c = 10): the pieces' interpolants have converged
+        # by degree 8, so degree 12 moves F_avg by less than 1e-6.
+        model = make_model(kappa=calibrate_kappa(make_model().link, 10.0))
+        spec = QuadratureSpec(m=64)
+        xs = np.arange(0.0, 10.0, 0.02)
+        values = []
+        for degree in (8, 12):
+            monkeypatch.setattr(outputs, "_CHEB_DEGREE", degree)
+            values.append(TimeAverageEvaluator(model, spec).value(xs))
+        assert np.max(np.abs(values[1] - values[0])) < 1e-6
+
+    def test_thread_count_does_not_change_values(self):
+        model = make_model()
+        spec = QuadratureSpec(m=64)
+        xs = np.arange(0.0, 10.0, 0.1)
+        runs = [
+            (
+                TimeAverageEvaluator(model, spec, threads=t).value(xs).tobytes(),
+                percentiles(model, DEFAULT_LEVELS, spec, threads=t).tobytes(),
+            )
+            for t in (1, 2, 4)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
 
 class TestPercentiles:
     def test_non_decreasing_in_level(self):
@@ -217,6 +242,7 @@ class TestPercentiles:
     def test_each_phase_profile_is_computed_once(self, monkeypatch):
         # A criterion-7 row (tau 0.1, c 10).  A bracket that starts too low
         # doubles and recomputes all 27 phase profiles to a longer block.
+        # On the thread pool too, each profile is computed once.
         link = make_model().link
         model = make_model(kappa=calibrate_kappa(link, 10.0), tau=0.1)
         phases = []
@@ -227,9 +253,11 @@ class TestPercentiles:
             return profile(model, phi, n_max, spec)
 
         monkeypatch.setattr(outputs, "ccdf_profile", counted)
-        vals = percentiles(model, DEFAULT_LEVELS, QuadratureSpec(m=64))
-        assert np.all(np.isfinite(vals))
-        assert len(phases) == len(set(phases)) == 27
+        for threads in (1, 2):
+            phases.clear()
+            vals = percentiles(model, DEFAULT_LEVELS, QuadratureSpec(m=64), threads=threads)
+            assert np.all(np.isfinite(vals))
+            assert len(phases) == len(set(phases)) == 27, threads
 
     def test_unreachable_level_is_infinite(self):
         # The frozen lognormal age has an unbounded heavy tail, so a deep
@@ -237,6 +265,16 @@ class TestPercentiles:
         model = make_model("frozen")
         vals = percentiles(model, (0.9999,), x_ceiling=5.0)
         assert math.isinf(vals[0])
+
+    @pytest.mark.parametrize("ceiling", [10.0, 12.0, 20.0])
+    def test_infinite_exactly_past_the_ceiling(self, ceiling):
+        # The frozen model's 0.9999 percentile is 17.27: beyond ceilings 10
+        # and 12, within 20, wherever the doubled bracket would land.
+        vals = percentiles(make_model("frozen"), (0.9999,), x_ceiling=ceiling)
+        if ceiling < 17.27:
+            assert math.isinf(vals[0])
+        else:
+            assert vals[0] == pytest.approx(17.27, abs=5e-3)
 
     def test_rejects_levels_outside_unit_interval(self):
         with pytest.raises(ValueError):
