@@ -9,6 +9,7 @@ config and seed.  Exit codes: 0 success, 1 usage, 2 calibration failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,8 @@ from .outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
     TimeAverageEvaluator,
+    _atomic_write,
+    _fmt,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
@@ -127,75 +130,33 @@ class RunConfig:
     # -- nested-dict round trip ------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "link": {
-                "kind": self.link_kind,
-                "x_min": self.x_min,
-                "mu": self.mu,
-                "s": self.s,
-                "mu_hat": self.mu_hat,
-                "s_hat": self.s_hat,
-            },
-            "correlation": {"mode": self.mode, "c": self.c, "kappa": self.kappa},
-            "tau": self.tau,
-            "t_grid": asdict(self.t_grid),
-            "x_grid": asdict(self.x_grid),
-            "delta": self.delta,
-            "quadrature": {"m": self.quad_m, "L": self.quad_l},
-            "simulation": {
-                "n_paths": self.n_paths,
-                "n_saved_paths": self.n_saved_paths,
-                "seed": self.seed,
-            },
-            "threads": self.threads,
-            "out": self.out,
-        }
+        doc: dict = {}
+        for key, (name, _) in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            _set_nested(doc, key, asdict(value) if isinstance(value, GridRange) else value)
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        link = d.get("link", {})
-        corr = d.get("correlation", {})
-        quad = d.get("quadrature", {})
-        sim = d.get("simulation", {})
-
-        def grid(key: str, default: GridRange) -> GridRange:
-            g = d.get(key)
-            if g is None:
-                return default
-            return GridRange(float(g["start"]), float(g["stop"]), float(g["step"]))
-
-        def opt(src: dict, key: str) -> float | None:
-            v = src.get(key)
-            return None if v is None else float(v)
-
-        # Gauss-Legendre is the only rule; the key is accepted for configs
-        # that name it.
-        rule = quad.get("rule", "gauss-legendre")
-        if rule != "gauss-legendre":
-            raise UsageError(f"unknown quadrature rule {rule!r}")
-
-        return cls(
-            link_kind=link.get("kind", "shifted-lognormal"),
-            x_min=float(link.get("x_min", 0.5)),
-            mu=opt(link, "mu"),
-            s=opt(link, "s"),
-            mu_hat=opt(link, "mu_hat"),
-            s_hat=opt(link, "s_hat"),
-            mode=corr.get("mode", "ou"),
-            c=opt(corr, "c"),
-            kappa=opt(corr, "kappa"),
-            tau=float(d.get("tau", 2.0)),
-            t_grid=grid("t_grid", GridRange(0.5, 10.0, 0.5)),
-            x_grid=grid("x_grid", GridRange(0.0, 10.0, 0.02)),
-            delta=float(d.get("delta", 0.02)),
-            quad_m=int(quad.get("m", 400)),
-            quad_l=float(quad.get("L", 8.0)),
-            n_paths=int(sim.get("n_paths", 500)),
-            n_saved_paths=int(sim.get("n_saved_paths", 500)),
-            seed=int(sim.get("seed", 1)),
-            threads=int(d.get("threads", 1)),
-            out=d.get("out", "aoi-out"),
-        )
+        """Build from a nested document; every leaf must be a key of
+        _CONFIG_KEYS, and absent keys take the field defaults."""
+        kwargs = {}
+        for key, value in _leaves(d):
+            if key == "quadrature.rule":
+                # Gauss-Legendre is the only rule; the key is accepted for
+                # configs that name it.
+                if value != "gauss-legendre":
+                    raise UsageError(f"unknown quadrature rule {value!r}")
+                continue
+            if key not in _CONFIG_KEYS:
+                what = "must be an object" if key in _SECTIONS else "is unknown"
+                raise UsageError(f"config key {key!r} {what}")
+            name, convert = _CONFIG_KEYS[key]
+            try:
+                kwargs[name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
+        return cls(**kwargs)
 
     # -- model construction ----------------------------------------------
 
@@ -229,6 +190,53 @@ class RunConfig:
         return DelayModel(link=link, correlation=corr, schedule=GenerationSchedule(self.tau))
 
 
+def _optional_float(v) -> float | None:
+    return None if v is None else float(v)
+
+
+def _grid(g) -> GridRange:
+    if not isinstance(g, dict) or set(g) != {"start", "stop", "step"}:
+        raise ValueError(f"a grid needs exactly start, stop and step, got {g!r}")
+    return GridRange(float(g["start"]), float(g["stop"]), float(g["step"]))
+
+
+# Dotted config key -> (RunConfig field, conversion); grids are one key each.
+_CONFIG_KEYS = {
+    "link.kind": ("link_kind", str),
+    "link.x_min": ("x_min", float),
+    "link.mu": ("mu", _optional_float),
+    "link.s": ("s", _optional_float),
+    "link.mu_hat": ("mu_hat", _optional_float),
+    "link.s_hat": ("s_hat", _optional_float),
+    "correlation.mode": ("mode", str),
+    "correlation.c": ("c", _optional_float),
+    "correlation.kappa": ("kappa", _optional_float),
+    "tau": ("tau", float),
+    "t_grid": ("t_grid", _grid),
+    "x_grid": ("x_grid", _grid),
+    "delta": ("delta", float),
+    "quadrature.m": ("quad_m", int),
+    "quadrature.L": ("quad_l", float),
+    "simulation.n_paths": ("n_paths", int),
+    "simulation.n_saved_paths": ("n_saved_paths", int),
+    "simulation.seed": ("seed", int),
+    "threads": ("threads", int),
+    "out": ("out", str),
+}
+_SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
+
+
+def _leaves(d: dict, prefix: str = ""):
+    """(dotted key, value) for every leaf of a config document: a grid's
+    object is one leaf, any other object is descended into."""
+    for name, value in d.items():
+        key = prefix + name
+        if isinstance(value, dict) and key not in _CONFIG_KEYS:
+            yield from _leaves(value, key + ".")
+        else:
+            yield key, value
+
+
 def _set_nested(d: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     node = d
@@ -256,6 +264,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise UsageError("a config must be a JSON object")
     for item in args.set or []:
         key, value = _parse_override(item)
         _set_nested(doc, key, value)
@@ -291,6 +301,19 @@ def _corr_label(model: DelayModel) -> float:
     if corr.kind != "ou":
         return 0.0 if corr.kind == "iid" else math.inf
     return corr.c if corr.c is not None else calibrate_kappa(model.link, 1.0) / corr.kappa
+
+
+def _percentile_row(cfg: RunConfig, model: DelayModel, values) -> PercentileRow:
+    """The percentiles.csv row of a config and the model it builds; s is the
+    target sd, or the link's sd when the config gives direct parameters."""
+    return PercentileRow(
+        link=cfg.link_kind,
+        c=_corr_label(model),
+        tau=cfg.tau,
+        s=cfg.s if cfg.s is not None else marginal_moments(model.link)[1],
+        levels=DEFAULT_LEVELS,
+        values=tuple(values),
+    )
 
 
 # -- commands --------------------------------------------------------------
@@ -335,19 +358,11 @@ def cmd_exact(cfg: RunConfig) -> int:
     ev = TimeAverageEvaluator(model, spec, threads=cfg.threads)
     avg = ev.value(x_values)
     pct = percentiles(model, DEFAULT_LEVELS, spec, evaluator=ev)
-    row = PercentileRow(
-        link=cfg.link_kind,
-        c=_corr_label(model),
-        tau=cfg.tau,
-        s=cfg.s if cfg.s is not None else marginal_moments(model.link)[1],
-        levels=DEFAULT_LEVELS,
-        values=tuple(pct),
-    )
     out = cfg.out
     write_ccdf_csv(grid, os.path.join(out, "ccdf.csv"))
     write_heatmap_csv(hm, os.path.join(out, "heatmap.csv"))
     write_timeavg_csv(x_values, avg, os.path.join(out, "timeavg.csv"))
-    write_percentiles_csv([row], os.path.join(out, "percentiles.csv"))
+    write_percentiles_csv([_percentile_row(cfg, model, pct)], os.path.join(out, "percentiles.csv"))
     write_meta_json(_meta(cfg, "exact", started), os.path.join(out, "meta.json"))
     return EXIT_OK
 
@@ -373,11 +388,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     lines = ["path,t,age"]
     for p in range(n_save):
         for j, t in enumerate(saved.t_grid):
-            age = ages[p, j]
-            lines.append(f"{p},{t:.12g},{'inf' if math.isinf(age) else f'{age:.12g}'}")
-    from .outputs import _atomic_write
-
-    os.makedirs(out, exist_ok=True)
+            lines.append(f"{p},{_fmt(t)},{_fmt(ages[p, j])}")
     _atomic_write(os.path.join(out, "paths.csv"), "\n".join(lines) + "\n")
     write_meta_json(_meta(cfg, "simulate", started), os.path.join(out, "meta.json"))
     return EXIT_OK
@@ -404,27 +415,23 @@ def cmd_compare(cfg: RunConfig) -> int:
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(se, 1e-300))
     frac_ok = float(np.mean(z <= 3.0))
 
-    # Dominance ladder: correlation increases left to right.
-    ladder: list[tuple[str, DelayModel]] = [
-        ("iid", DelayModel(model.link, CorrelationMode("iid"), model.schedule))
-    ]
-    if model.correlation.kind == "ou":
-        k = model.correlation.kappa
-        for label, kappa in [("2kappa", 2 * k), ("kappa", k), ("kappa/2", k / 2)]:
-            ladder.append(
-                (
-                    label,
-                    DelayModel(
-                        model.link, CorrelationMode("ou", kappa=kappa), model.schedule
-                    ),
-                )
-            )
-    ladder.append(
-        ("frozen", DelayModel(model.link, CorrelationMode("frozen"), model.schedule))
-    )
+    # Dominance ladder: correlation increases left to right.  The run's own
+    # model is a rung (kappa in ou mode, else iid or frozen); its grid is
+    # computed once.
+    own = model.correlation
+    ladder = [("iid", CorrelationMode("iid"))]
+    if own.kind == "ou":
+        ladder += [
+            ("2kappa", CorrelationMode("ou", kappa=2 * own.kappa)),
+            ("kappa", own),
+            ("kappa/2", CorrelationMode("ou", kappa=own.kappa / 2)),
+        ]
+    ladder.append(("frozen", CorrelationMode("frozen")))
     grids = [
-        (label, exact_ccdf_grid(m, t_values, x_values, spec, threads=cfg.threads))
-        for label, m in ladder
+        (label, grid if corr == own else exact_ccdf_grid(
+            replace(model, correlation=corr), t_values, x_values, spec, threads=cfg.threads
+        ))
+        for label, corr in ladder
     ]
     dominance = []
     all_dominant = True
@@ -464,15 +471,10 @@ def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
             raise UsageError(f"cannot sweep {name!r}; choose from {tuple(_SWEEPABLE)}")
     if cfg.mu is None:
         raise CalibrationError("sweep requires target-based link config (mu, s)")
-    names = list(params)
-    grids = [params[n] for n in names]
-    combos = [[]]
-    for values in grids:
-        combos = [c + [v] for c in combos for v in values]
     rows, failures = [], []
     spec = cfg.quadrature()
-    for combo in combos:
-        setting = dict(zip(names, combo))
+    for combo in itertools.product(*params.values()):
+        setting = dict(zip(params, combo))
         changes = {_SWEEPABLE[n]: v for n, v in setting.items()}
         if "c" in changes:
             # A swept time constant replaces the config's correlation spec.
@@ -481,16 +483,7 @@ def cmd_sweep(cfg: RunConfig, params: dict[str, list]) -> int:
             row = replace(cfg, **changes)
             model = row.model()
             pct = percentiles(model, DEFAULT_LEVELS, spec, threads=cfg.threads)
-            rows.append(
-                PercentileRow(
-                    link=row.link_kind,
-                    c=_corr_label(model),
-                    tau=row.tau,
-                    s=row.s,
-                    levels=DEFAULT_LEVELS,
-                    values=tuple(pct),
-                )
-            )
+            rows.append(_percentile_row(row, model, pct))
         except (AoiLabError, ValueError, UsageError) as exc:  # keep sweeping
             kind = type(exc).__name__
             failures.append({"setting": setting, "type": kind, "error": str(exc)})

@@ -62,15 +62,20 @@ def decompose_time(t: float, tau: float) -> TimeDecomposition:
     return TimeDecomposition(t=t, k=k, phi=phi)
 
 
-def block_length(x: float, phi: float, tau: float, k: int | None = None) -> int:
+def block_length(x, phi, tau: float, k=None):
     """Number n of most recent packets that must all be late for A > x at
     phase phi: 0 below the phase (the event is certain), otherwise
     floor((x - phi)/tau) + 1, capped at k + 1 (every packet generated by
-    t = k*tau + phi) when k is given."""
-    if x < phi:
-        return 0
-    n = int(math.floor((x - phi) / tau)) + 1
-    return n if k is None else min(n, k + 1)
+    t = k*tau + phi) when k is given.  x, phi and k broadcast; scalars give
+    an int, arrays an integer array."""
+    x, phi = np.asarray(x, dtype=float), np.asarray(phi, dtype=float)
+    n = np.where(x < phi, 0.0, np.floor((x - phi) / tau) + 1.0)
+    if k is not None:
+        n = np.minimum(n, np.asarray(k) + 1)
+    if not np.all(np.isfinite(n)):
+        raise ValueError("an infinite x needs the cap k")
+    n = n.astype(int)
+    return int(n) if n.ndim == 0 else n
 
 
 def aoi_path_matrix(

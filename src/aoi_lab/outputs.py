@@ -181,24 +181,17 @@ def exact_ccdf_grid(
         raise ValueError("grids must be sorted ascending")
     tau = model.schedule.tau
     decs = [decompose_time(float(t), tau) for t in t_grid]
-    # Group rows by phase class and find the longest block each class needs.
-    needs: dict[float, int] = {}
-    for dec in decs:
-        key = _phase_key(dec.phi, tau)
-        phi = key * tau
-        n_row = max((block_length(float(x), phi, tau, dec.k) for x in x_grid), default=0)
-        needs[key] = max(needs.get(key, 0), n_row)
-
-    keys = sorted(needs)
-    profiles = dict(zip(keys, _profiles(model, [(k * tau, needs[k]) for k in keys], spec, threads)))
-
-    p = np.empty((t_grid.size, x_grid.size))
-    for i, dec in enumerate(decs):
-        key = _phase_key(dec.phi, tau)
-        phi = key * tau
-        q = profiles[key]
-        for j, x in enumerate(x_grid):
-            p[i, j] = q[block_length(float(x), phi, tau, dec.k)]
+    keys, cls = np.unique([_phase_key(d.phi, tau) for d in decs], return_inverse=True)
+    k = np.array([d.k for d in decs], dtype=int)
+    # Every cell's block length at its phase class, and each class's longest.
+    n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
+    n_max = np.zeros(keys.size, dtype=int)
+    np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
+    tasks = [(float(key * tau), int(m)) for key, m in zip(keys, n_max)]
+    table = np.zeros((keys.size, n_max.max(initial=0) + 1))
+    for row, q in zip(table, _profiles(model, tasks, spec, threads)):
+        row[: q.size] = q
+    p = table[cls[:, None], n]
     return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact")
 
 

@@ -1,9 +1,11 @@
 """Command-line frontend: config handling, outputs, determinism, and
 exit codes."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +90,20 @@ class TestRunConfig:
         doc["quadrature"]["rule"] = "trapezoid"
         with pytest.raises(UsageError):
             RunConfig.from_dict(doc)
+
+    def test_every_field_has_one_config_key(self):
+        names = [name for name, _ in cli._CONFIG_KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+    def test_readme_example_config_parses(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        cfg = RunConfig.from_dict(doc)
+        assert cfg.quad_m == 400 and cfg.n_paths == 100000 and cfg.c == 10.0
+        # Every key is in the example or named in the text.
+        named = {key for key, _ in cli._leaves(doc)} | set(re.findall(r"`([\w.]+)`", readme))
+        assert set(cli._CONFIG_KEYS) <= named
 
     def test_model_construction_calibrates(self):
         model = RunConfig.from_dict(BASE_CONFIG).model()
@@ -209,6 +225,22 @@ class TestCommands:
         assert report["z_fraction_within_3"] >= 0.99
         assert all(step["passed"] for step in report["dominance"])
 
+    @pytest.mark.parametrize("mode,calls", [("ou", 5), ("iid", 2), ("frozen", 2)])
+    def test_compare_computes_each_ladder_grid_once(self, config_path, tmp_path,
+                                                    monkeypatch, mode, calls):
+        # The run's own model is a ladder rung, so its grid serves both the
+        # z-test and the dominance check.
+        real, seen = cli.exact_ccdf_grid, []
+
+        def counted(model, *args, **kwargs):
+            seen.append(model.correlation)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_ccdf_grid", counted)
+        main(["compare", "--config", config_path, "--out", str(tmp_path / "c"),
+              "--set", f"correlation.mode={mode}", "--set", "simulation.n_paths=200"])
+        assert len(seen) == calls and len(set(seen)) == calls
+
     def test_sweep_writes_rows_and_routes_limits(self, config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main(
@@ -299,6 +331,32 @@ class TestExitCodes:
         assert main(
             ["exact", "--config", config_path, "--set", "correlation.kappa=0.1"]
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ("corelation.c=1", "corelation.c"),
+            ("quadrature.mm=5", "quadrature.mm"),
+            ("quadrature=5", "quadrature"),
+            ("x_grid.step=0.5", "x_grid"),
+        ],
+    )
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, override, key):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        del doc["x_grid"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = main(["exact", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--set", override])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("aoi-lab: usage error: ") and repr(key) in err
+        assert "Traceback" not in err
+
+    def test_non_object_config_is_usage_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["exact", "--config", str(path)]) == EXIT_USAGE
 
     def test_infeasible_target_is_calibration_error(self, config_path):
         assert main(

@@ -111,6 +111,49 @@ class TestTheta:
             assert got == max(0, math.ceil((t - x) / tau - 1e-9))
 
 
+def scalar_block_length(x, phi, tau, k=None):
+    """The block-length rule written out for one cell."""
+    if x < phi:
+        return 0
+    n = int(math.floor((x - phi) / tau)) + 1
+    return n if k is None else min(n, k + 1)
+
+
+class TestBlockLength:
+    def test_scalar_returns_int(self):
+        assert type(block_length(3.4, 1.3, 2.0, 3)) is int
+        assert block_length(3.4, 1.3, 2.0) == 2
+
+    @pytest.mark.parametrize("k", [None, 0, 2, 5])
+    def test_array_matches_scalar_rule_cellwise(self, k):
+        tau = 0.5
+        # Below the phase, exactly on phi + j*tau, between lattice points,
+        # and far enough out that k + 1 caps the block.
+        phi = np.array([0.0, 0.1, 0.3, 0.45])
+        x = np.concatenate(
+            [[0.0, 0.05, 0.2999], 0.3 + tau * np.arange(4), [0.1 + 0.2, 1.37, 9.0]]
+        )
+        n = block_length(x[None, :], phi[:, None], tau, k)
+        assert n.shape == (phi.size, x.size) and n.dtype.kind == "i"
+        expected = [[scalar_block_length(float(xv), float(p), tau, k) for xv in x] for p in phi]
+        assert n.tolist() == expected
+        assert 0 in expected[3] and (k is None or k + 1 in expected[0])
+
+    def test_per_row_cap(self):
+        k = np.array([0, 1, 4])
+        n = block_length(np.array([0.5, 2.5, 6.5]), 0.5, 2.0, k[:, None])
+        assert n.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 4]]
+
+    def test_infinite_x_needs_the_cap(self):
+        assert block_length(math.inf, 0.3, 2.0, 4) == 5
+        with pytest.raises(ValueError):
+            block_length(math.inf, 0.3, 2.0)
+
+    def test_empty_x_grid(self):
+        n = block_length(np.empty(0), np.array([[0.1], [0.3]]), 0.5, np.array([[1], [2]]))
+        assert n.shape == (2, 0) and n.dtype.kind == "i"
+
+
 class TestAoiCcdfAgainstPaths:
     """The block-length rule must agree with brute-force age evaluation
     when the delay sequence is known: A_t > x exactly when the n most

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from aoi_lab import outputs
-from aoi_lab.core import GenerationSchedule, decompose_time
+from aoi_lab.core import GenerationSchedule, block_length, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
@@ -114,6 +114,34 @@ class TestExactCcdfGrid:
             direct = ou_orthant(np.atleast_1d(a)[::-1], rho)
             cell = grid.p[t_grid.index(t), x_grid.index(x)]
             assert cell == pytest.approx(direct, abs=1e-12)
+
+    def test_reads_the_phase_profiles(self, monkeypatch):
+        # Ascending t whose phases come out of order; 0.3, 0.1 + 0.2 and
+        # 0.8 - 0.5 round to one phase class and share one profile.
+        model = make_model(tau=0.5)
+        t_grid = np.array([0.05, 0.3, 0.1 + 0.2, 0.45, 0.8, 1.05, 1.6, 2.0, 2.3])
+        x_grid = np.sort(np.concatenate([[0.0, 0.1, 0.2, 1.37, 4.0], 0.3 + 0.5 * np.arange(6)]))
+        calls = []
+        real = outputs.ccdf_profile
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(outputs, "ccdf_profile", counted)
+        grid = exact_ccdf_grid(model, t_grid, x_grid)
+        monkeypatch.undo()
+        assert sorted(calls) == calls and len(calls) == 5
+        for i, t in enumerate(t_grid):
+            dec = decompose_time(float(t), 0.5)
+            phi = outputs._phase_key(dec.phi, 0.5) * 0.5
+            for j, x in enumerate(x_grid):
+                n = block_length(float(x), phi, 0.5, dec.k)
+                assert grid.p[i, j] == ccdf_profile(model, phi, n, QuadratureSpec())[n]
+
+    def test_empty_grids(self):
+        assert exact_ccdf_grid(make_model(), [], [0.5]).p.shape == (0, 1)
+        assert exact_ccdf_grid(make_model(), [1.0, 3.0], []).p.shape == (2, 0)
 
     def test_thread_count_does_not_change_values(self):
         model = make_model()
