@@ -194,6 +194,13 @@ def _optional_float(v) -> float | None:
     return None if v is None else float(v)
 
 
+def _integer(v) -> int:
+    """An int, or a float with an integral value; nothing else."""
+    if not (type(v) is int or type(v) is float and v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _grid(g) -> GridRange:
     if not isinstance(g, dict) or set(g) != {"start", "stop", "step"}:
         raise ValueError(f"a grid needs exactly start, stop and step, got {g!r}")
@@ -215,12 +222,12 @@ _CONFIG_KEYS = {
     "t_grid": ("t_grid", _grid),
     "x_grid": ("x_grid", _grid),
     "delta": ("delta", float),
-    "quadrature.m": ("quad_m", int),
+    "quadrature.m": ("quad_m", _integer),
     "quadrature.L": ("quad_l", float),
-    "simulation.n_paths": ("n_paths", int),
-    "simulation.n_saved_paths": ("n_saved_paths", int),
-    "simulation.seed": ("seed", int),
-    "threads": ("threads", int),
+    "simulation.n_paths": ("n_paths", _integer),
+    "simulation.n_saved_paths": ("n_saved_paths", _integer),
+    "simulation.seed": ("seed", _integer),
+    "threads": ("threads", _integer),
     "out": ("out", str),
 }
 _SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}

@@ -4,6 +4,7 @@ Computes Pr(Z_0 > a_0, ..., Z_{n-1} > a_{n-1}) for a zero-mean,
 unit-variance stationary AR(1) chain with one-step correlation ``rho`` by
 propagating the conditional density of the current state through the
 transition kernel N(rho*u, 1 - rho^2), one truncated quadrature per stage.
+One Nystrom rule (Atkinson 1997) serves every rho in (0, 1); see OuChain.
 Closed forms cover the independent and fully-frozen limits, and a plain
 Monte-Carlo estimator over the chain's covariance matrix serves as an
 independent cross-check.
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import erfc
 
 from .errors import EvaluationError, QuadratureError
@@ -30,6 +30,14 @@ _TINY_PROB = 1e-300
 # Minimum quadrature nodes assigned to any panel of a split grid.
 _MIN_PANEL_NODES = 12
 
+# OuChain's stage rule: nodes per kernel width, the node budget of a stage
+# (rho ~ 1 - 1e-9 at L = 8), the kernel band half-width in sd (pdf(9)/pdf(0)
+# = 2.6e-18), and the span of one block of targets in sd.
+_NODES_PER_WIDTH = 2.0
+_MAX_STAGE_NODES = 1 << 19
+_BAND = 9.0
+_BLOCK_SPAN = 64.0
+
 
 def std_normal_tail(x):
     """Standard normal tail Phi_bar(x) = Pr(Z > x), accurate to ~1e-16.
@@ -39,25 +47,21 @@ def std_normal_tail(x):
     return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
-def _std_normal_pdf(x):
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-
-
-def _std_normal_pdf_in_place(x: np.ndarray) -> None:
-    """_std_normal_pdf(x) written over x, with the same operations in the
-    same order."""
-    np.square(x, out=x)
-    x *= -0.5
-    np.exp(x, out=x)
-    x *= _INV_SQRT_2PI
+def _std_normal_pdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal density at x, written into out if it is given."""
+    out = np.square(x, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Discretization controls for the stagewise tail recursion.
 
-    m is the number of nodes per stage, L the truncation half-width in
-    standard-normal units.
+    m is the fewest nodes per stage (OuChain adds nodes for narrow
+    kernels), L the truncation half-width in standard-normal units.
     """
 
     m: int = 400
@@ -105,9 +109,14 @@ class OuChain:
 
     Each call to extend() conditions on one more event {Z_n > a_n} and
     returns the updated joint probability.  The conditional density of the
-    newest state given all prior events is carried on a truncated,
-    panel-split quadrature grid; thresholds of -inf are clamped to -L and
-    contribute a factor that integrates to 1.
+    newest state given all prior events is carried on a panel-split
+    Gauss-Legendre grid over [max(a_n, -L), L]; thresholds of -inf are
+    clamped to -L and contribute a factor that integrates to 1.
+
+    Every stage, at every rho, takes the Nystrom update of _propagate.  In
+    the previous state u its kernel has width sd/rho, so a stage grid gets
+    _NODES_PER_WIDTH nodes per width where spec.m nodes are too few.  A
+    stage past _MAX_STAGE_NODES raises QuadratureError.
     """
 
     def __init__(self, rho: float, spec: QuadratureSpec | None = None):
@@ -126,10 +135,6 @@ class OuChain:
         # grown only when a stage needs more room.  Fresh megabyte-sized
         # temporaries per stage cost more in page faults than in arithmetic.
         self._work = np.empty(0)
-        # The u-form stage update resolves the transition kernel on the
-        # previous grid only while its width sd/rho exceeds several node
-        # spacings; below that we integrate over the innovation instead.
-        self._kernel_width_floor = 8.0 * (2.0 * self.spec.L / self.spec.m)
 
     def extend(self, a: float) -> float:
         spec = self.spec
@@ -150,7 +155,7 @@ class OuChain:
             if tail < _TINY_PROB:
                 self.prob = 0.0
                 return 0.0
-            nodes, weights = _split_grid([lo_new, spec.L], spec.m)
+            nodes, weights = self._grid([lo_new, spec.L])
             density = _std_normal_pdf(nodes) / tail
         else:
             breaks = [lo_new]
@@ -158,7 +163,7 @@ class OuChain:
             if lo_new + 1e-9 < edge < spec.L - 1e-9:
                 breaks.append(edge)
             breaks.append(spec.L)
-            nodes, weights = _split_grid(breaks, spec.m)
+            nodes, weights = self._grid(breaks)
             raw = self._propagate(nodes)
             tail = float(weights @ raw)
             tail = min(max(tail, 0.0), 1.0)
@@ -171,58 +176,49 @@ class OuChain:
         self._lo = lo_new
         return self.prob
 
-    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous view of the work array with the given shape."""
-        size = math.prod(shape)
-        if self._work.size < size:
-            self._work = np.empty(size)
-        return self._work[:size].reshape(shape)
+    def _grid(self, breaks: Sequence[float]):
+        """Split grid over breaks with m nodes, or with _NODES_PER_WIDTH
+        nodes per kernel width if that is more, in equal panels of at most
+        about m nodes: _split_grid(breaks, m) whenever m nodes suffice."""
+        m = self.spec.m
+        n = math.ceil(_NODES_PER_WIDTH * (breaks[-1] - breaks[0]) * self.rho / self.sd)
+        if n > _MAX_STAGE_NODES:
+            raise QuadratureError(
+                f"rho={self.rho!r} needs {n} nodes per stage, over the budget of "
+                f"{_MAX_STAGE_NODES}; use correlation.mode: frozen for this limit"
+            )
+        panels = np.linspace(breaks[0], breaks[-1], math.ceil(n / m) + 1)[1:-1]
+        return _split_grid(np.sort(np.concatenate((breaks, panels))), max(n, m))
 
     def _propagate(self, targets: np.ndarray) -> np.ndarray:
         """Density of the next state at the target nodes, given the events
-        accumulated so far (normalized over the whole real line).
+        accumulated so far (normalized over the whole real line): the
+        Nystrom update k @ (weights * density), with the kernel
+        k = _std_normal_pdf((targets[:, None] - rho * nodes) / sd) / sd.
 
-        Both branches build their kernel in the work array with the
-        operations of the whole-array formulas (in the comments), in the
-        same order, so every value has the bits the formula gives."""
+        Each block of targets _BLOCK_SPAN sd wide meets only the nodes
+        whose centres rho*u lie within _BAND sd of it.  A block's kernel
+        is built in the work array by the formula's operations, in the
+        same order."""
         rho, sd = self.rho, self.sd
-        if sd / rho >= self._kernel_width_floor:
-            # Direct integration over the previous state u:
-            # k = _std_normal_pdf((targets[:, None] - rho * nodes) / sd) / sd.
-            k = self._scratch((targets.size, self._nodes.size))
-            np.subtract(targets[:, None], rho * self._nodes, out=k)
+        centres = rho * self._nodes
+        mass = self._weights * self._density
+        starts = np.searchsorted(targets, np.arange(targets[0], targets[-1], _BLOCK_SPAN * sd))
+        stops = np.append(starts[1:], targets.size)
+        firsts = np.searchsorted(centres, targets[starts] - _BAND * sd)
+        lasts = np.searchsorted(centres, targets[stops - 1] + _BAND * sd, "right")
+        raw = np.empty(targets.size)
+        for i0, i1, j0, j1 in zip(starts, stops, firsts, lasts):
+            size = (i1 - i0) * (j1 - j0)
+            if self._work.size < size:
+                self._work = np.empty(size)
+            k = self._work[:size].reshape(i1 - i0, j1 - j0)
+            np.subtract(targets[i0:i1, None], centres[j0:j1], out=k)
             k /= sd
-            _std_normal_pdf_in_place(k)
+            _std_normal_pdf(k, out=k)
             k /= sd
-            return k @ (self._weights * self._density)
-        # Near-frozen regime: integrate over the innovation v with the
-        # previous density interpolated, so the kernel never gets narrower
-        # than the grid can resolve.  u = (y - sd*v)/rho must stay within
-        # the previous support [lo, L].
-        spline = CubicSpline(self._nodes, self._density)
-        spec = self.spec
-        v_hi = np.minimum(spec.L, (targets - rho * self._lo) / sd)
-        v_lo = np.maximum(-spec.L, (targets - rho * spec.L) / sd)
-        span = np.maximum(v_hi - v_lo, 0.0)
-        x, w = _gauss_legendre(min(spec.m, 256))
-        half = 0.5 * span[:, None]
-        # v = v_lo[:, None] + half * (x + 1.0)
-        # u = clip((targets[:, None] - sd * v) / rho, lo, L)
-        # raw = (half * w) * _std_normal_pdf(v) * clip(spline(u), 0, None)
-        v, u = self._scratch((2, targets.size, x.size))
-        np.multiply(half, x + 1.0, out=v)
-        v += v_lo[:, None]
-        np.multiply(v, sd, out=u)
-        np.subtract(targets[:, None], u, out=u)
-        u /= rho
-        np.clip(u, self._lo, spec.L, out=u)
-        f = spline(u)
-        np.clip(f, 0.0, None, out=f)
-        _std_normal_pdf_in_place(v)
-        raw = np.multiply(half, w, out=u)
-        raw *= v
-        raw *= f
-        return raw.sum(axis=1) / rho
+            raw[i0:i1] = k @ mass[j0:j1]
+        return raw
 
 
 def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
@@ -232,17 +228,13 @@ def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
     if a.size == 0:
         return 1.0
     chain = OuChain(rho, spec)
-    p = 1.0
     for ai in a:
-        p = chain.extend(float(ai))
-    return p
+        chain.extend(float(ai))
+    return chain.prob
 
 
 def orthant_iid(a) -> float:
     """Product-form tail probability for independent standard normals."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 1.0
     return float(np.prod(std_normal_tail(a)))
 
 

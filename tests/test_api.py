@@ -6,6 +6,9 @@ drops its layer from the trace.  bench/make_reference.py imports the rest.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +76,12 @@ def test_profile_takes_four_positional_arguments():
 
 def test_chain_exposes_rho():
     assert orthant.OuChain(0.5).rho == 0.5
+
+
+def test_import_loads_no_interpolation_code():
+    code = "import sys, aoi_lab; print([m for m in sys.modules if 'scipy.interpolate' in m])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -158,6 +158,18 @@ class TestOverrides:
 
         assert load_config(Args).threads == 2
 
+    def test_integer_keys_accept_integral_floats(self, config_path):
+        class Args:
+            config = config_path
+            set = ["quadrature.m=64.0", "simulation.n_paths=1e3"]
+            out = None
+            seed = None
+            threads = None
+
+        cfg = load_config(Args)
+        assert (cfg.quad_m, cfg.n_paths) == (64, 1000)
+        assert type(cfg.quad_m) is int and type(cfg.n_paths) is int
+
 
 class TestCommands:
     def test_calibrate_writes_report(self, config_path, tmp_path, capsys):
@@ -339,6 +351,8 @@ class TestExitCodes:
             ("quadrature.mm=5", "quadrature.mm"),
             ("quadrature=5", "quadrature"),
             ("x_grid.step=0.5", "x_grid"),
+            ("quadrature.m=64.7", "quadrature.m"),
+            ("threads=true", "threads"),
         ],
     )
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, override, key):
