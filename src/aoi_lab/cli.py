@@ -38,8 +38,7 @@ from .outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
     TimeAverageEvaluator,
-    _atomic_write,
-    _fmt,
+    _write_table,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
@@ -392,11 +391,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         model=model, n_paths=n_save, seed=cfg.seed, t_grid=sim.t_grid, x_grid=sim.x_grid
     )
     ages = simulate_aoi_paths(saved)
-    lines = ["path,t,age"]
-    for p in range(n_save):
-        for j, t in enumerate(saved.t_grid):
-            lines.append(f"{p},{_fmt(t)},{_fmt(ages[p, j])}")
-    _atomic_write(os.path.join(out, "paths.csv"), "\n".join(lines) + "\n")
+    p, t = np.meshgrid(np.arange(n_save), saved.t_grid, indexing="ij")
+    _write_table(os.path.join(out, "paths.csv"), "path,t,age", p, t, ages)
     write_meta_json(_meta(cfg, "simulate", started), os.path.join(out, "meta.json"))
     return EXIT_OK
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import GenerationSchedule
 from .errors import CalibrationError
@@ -28,6 +27,21 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _bisect(f, lo, hi):
+    """Least x in [lo, hi] with f(x) >= 0, to adjacent floats, for f
+    non-decreasing with f(hi) >= 0; elementwise over array brackets."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    hi = np.where(f(lo) >= 0, lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return hi if hi.ndim else float(hi)
+        up = f(mid) >= 0
+        lo = np.where(inside & ~up, mid, lo)
+        hi = np.where(inside & up, mid, hi)
 
 
 @dataclass(frozen=True)
@@ -188,7 +202,7 @@ def calibrate_marginal(target: CalibrationTarget, kind: str) -> tuple[float, flo
             f"censored-normal target (mu={target.mu}, s={target.s}, "
             f"x_min={target.x_min}) could not be bracketed"
         )
-    alpha = brentq(ratio_gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    alpha = _bisect(ratio_gap, lo, hi)
     s_hat = m / _censored_h1(alpha)
     mu_hat = target.x_min - s_hat * alpha
     return mu_hat, s_hat
@@ -243,5 +257,5 @@ def calibrate_kappa(link: LinkFunction, c: float) -> float:
     lo, hi = 1e-12, 1.0 - 1e-12
     if not (gap(lo) < 0 < gap(hi)):
         raise CalibrationError("covariance-ratio equation could not be bracketed")
-    rho_star = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    rho_star = _bisect(gap, lo, hi)
     return -math.log(rho_star) / c

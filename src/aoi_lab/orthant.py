@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import EvaluationError, QuadratureError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # Below this running probability the chain is treated as extinct.
 _TINY_PROB = 1e-300
@@ -44,7 +44,7 @@ def std_normal_tail(x):
 
     Accepts scalars or arrays; -inf maps to 1 and +inf to 0.
     """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / _SQRT2), dtype=float)
 
 
 def _std_normal_pdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -140,9 +140,9 @@ class OuChain:
         spec = self.spec
         if np.isnan(a):
             raise ValueError("threshold must not be NaN")
-        if a > spec.L:
+        if a >= spec.L:
             raise QuadratureError(
-                f"threshold {a} exceeds truncation half-width L={spec.L}; "
+                f"threshold {a} reaches truncation half-width L={spec.L}; "
                 "enlarge L"
             )
         lo_new = max(float(a), -spec.L)

@@ -11,7 +11,7 @@ here reads.  Grid cells are grouped into phase classes and each class is
 served by a single chain sweep whose prefixes yield every block length at
 once.  The time average is the exact phase integral of the profiles:
 Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
-integrated in closed form; percentiles invert it with brentq.
+integrated in closed form; percentiles invert it by bisection.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.optimize import brentq
-from scipy.special import ndtri
 
 from .core import CcdfGrid, block_length, decompose_time
 from .errors import EvaluationError, QuadratureError
-from .links import DelayModel, g_apply, g_inverse, marginal_moments
+from .links import DelayModel, _bisect, g_apply, g_inverse, marginal_moments
 from .orthant import OuChain, QuadratureSpec, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
@@ -90,7 +89,7 @@ def ccdf_profile(
     # Cut the sweep where a single coordinate already forces zero mass.
     dead = std_normal_tail(a) < _TAIL_FLOOR
     n_alive = int(np.argmax(dead)) if dead.any() else n_max
-    if n_alive > 0 and np.max(a[:n_alive]) > spec.L:
+    if n_alive > 0 and np.max(a[:n_alive]) >= spec.L:
         grow = float(np.max(a[:n_alive])) + 4.0
         spec = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
     chain = OuChain(rho, spec)
@@ -333,15 +332,16 @@ def percentiles(
 ) -> np.ndarray:
     """Generalized inverses inf{x >= 0 : F_avg(x) <= 1 - p} for each level.
 
-    F_avg falls continuously from F_avg(0) = 1, so brentq finds each level in
-    one bracket [0, hi].  hi starts at tau plus the delay quantile q at the
-    deepest level p, or at the search ceiling (default 50*tau + 20*mean
-    delay) if that is lower.  For x >= tau, A_t > x needs the packet
-    generated in [t - x, t - x + tau) still in flight, so F_avg(tau + q) <=
-    Pr(D > q) <= 1 - p under any correlation, and the profiles grow once.
-    Otherwise hi doubles up to the ceiling, and a level still above F_avg
-    at the ceiling returns +inf: +inf means the percentile lies beyond it.
-    An evaluator built here computes its profiles on `threads` threads.
+    F_avg falls continuously from F_avg(0) = 1, so one vectorized bisection
+    finds every level, to adjacent floats, in one bracket [0, hi].  hi
+    starts at tau plus the delay quantile q at the deepest level p, or at
+    the search ceiling (default 50*tau + 20*mean delay) if that is lower.
+    For x >= tau, A_t > x needs the packet generated in [t - x, t - x + tau)
+    still in flight, so F_avg(tau + q) <= Pr(D > q) <= 1 - p under any
+    correlation, and the profiles grow once.  Otherwise hi doubles up to
+    the ceiling, and a level still above F_avg at the ceiling returns +inf:
+    +inf means the percentile lies beyond it.  An evaluator built here
+    computes its profiles on `threads` threads.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
@@ -349,13 +349,12 @@ def percentiles(
     tau = model.schedule.tau
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
-    targets = [1.0 - p for p in levels]
-    hi = min(tau + g_apply(model.link, ndtri(max(levels))), ceiling)
-    while ev.value(hi) > min(targets) and hi < ceiling:
+    targets = 1.0 - np.asarray(levels, dtype=float)
+    hi = min(tau + g_apply(model.link, NormalDist().inv_cdf(max(levels))), ceiling)
+    while ev.value(hi) > targets.min() and hi < ceiling:
         hi = min(2.0 * hi, ceiling)
-    f_hi = ev.value(hi)
-    roots = [brentq(lambda x: ev.value(x) - t, 0.0, hi) if f_hi <= t else np.inf for t in targets]
-    return np.array(roots)
+    roots = _bisect(lambda x: targets - ev.value(x), np.zeros_like(targets), hi)
+    return np.where(ev.value(hi) <= targets, roots, np.inf)
 
 
 @dataclass
@@ -414,31 +413,28 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _write_table(path: str, header: str, *columns) -> None:
+    """CSV of a header line and one row per entry of the equally sized
+    columns, each read in C order."""
+    cells = [map(_fmt, np.ravel(c).tolist()) for c in columns]
+    _atomic_write(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
 def write_ccdf_csv(grid: CcdfGrid, path: str, stderr: np.ndarray | None = None) -> None:
-    header = "t,x,ccdf,stderr" if stderr is not None else "t,x,ccdf"
-    lines = [header]
-    for i, t in enumerate(grid.t_values):
-        for j, x in enumerate(grid.x_values):
-            row = f"{_fmt(t)},{_fmt(x)},{_fmt(grid.p[i, j])}"
-            if stderr is not None:
-                row += f",{_fmt(stderr[i, j])}"
-            lines.append(row)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    t, x = np.meshgrid(grid.t_values, grid.x_values, indexing="ij")
+    if stderr is None:
+        _write_table(path, "t,x,ccdf", t, x, grid.p)
+    else:
+        _write_table(path, "t,x,ccdf,stderr", t, x, grid.p, stderr)
 
 
 def write_heatmap_csv(hm: HeatmapGrid, path: str) -> None:
-    lines = ["t,x,pmf"]
-    for i, t in enumerate(hm.t_values):
-        for j, x in enumerate(hm.x_values):
-            lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(hm.mass[i, j])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    t, x = np.meshgrid(hm.t_values, hm.x_values, indexing="ij")
+    _write_table(path, "t,x,pmf", t, x, hm.mass)
 
 
 def write_timeavg_csv(x_values: Sequence[float], values: Sequence[float], path: str) -> None:
-    lines = ["x,ccdf_avg"]
-    for x, v in zip(x_values, values):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, "x,ccdf_avg", x_values, values)
 
 
 def write_percentiles_csv(rows: Iterable[PercentileRow], path: str) -> None:

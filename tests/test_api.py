@@ -6,6 +6,7 @@ drops its layer from the trace.  bench/make_reference.py imports the rest.
 """
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -78,10 +79,35 @@ def test_chain_exposes_rho():
     assert orthant.OuChain(0.5).rho == 0.5
 
 
-def test_import_loads_no_interpolation_code():
-    code = "import sys, aoi_lab; print([m for m in sys.modules if 'scipy.interpolate' in m])"
+def test_import_loads_no_interpolation_code(tmp_path):
+    # scipy is a test dependency only: exact, calibrate and sweep run with
+    # it blocked, and no scipy module is loaded.
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    doc = json.loads(readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0])
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(doc))
+    doc["link"]["kind"] = "censored-normal"
+    censored = tmp_path / "censored.json"
+    censored.write_text(json.dumps(doc))
+    short = ["--set", "quadrature.m=64", "--set", "t_grid.stop=2.0"]
+    runs = [
+        ["exact", "--config", str(config), *short],
+        ["calibrate", "--config", str(censored)],
+        ["sweep", "--config", str(config), *short, "--param", "tau=0.5,2.0"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from aoi_lab import cli\n"
+        "codes = [cli.main(argv + ['--out', sys.argv[1]]) for argv in json.loads(sys.argv[2])]\n"
+        "loaded = [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod]\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path / "out"), json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 3
+    assert loaded == []

@@ -17,6 +17,7 @@ from aoi_lab.links import (
     CorrelationMode,
     DelayModel,
     LinkFunction,
+    _bisect,
     calibrate_kappa,
     calibrate_marginal,
     g_apply,
@@ -47,6 +48,29 @@ def lognormal_link():
 
 def censored_link():
     return LinkFunction(CENSORED_NORMAL, 0.5, CENSORED_MU_HAT, CENSORED_S_HAT)
+
+
+class TestBisect:
+    def test_solves_array_brackets_elementwise(self):
+        c = np.array([0.1, 2.0, 7.5])
+
+        def f(x):
+            return x**3 - c
+
+        x = _bisect(f, np.array([0.0, 1.0, -2.0]), np.array([1.0, 2.0, 3.0]))
+        assert x.shape == (3,)
+        # Each root to adjacent floats: f changes sign between x's
+        # predecessor and x.
+        assert np.all(f(x) >= 0) and np.all(f(np.nextafter(x, -np.inf)) < 0)
+
+    def test_returns_the_jump_point_of_a_step(self):
+        assert _bisect(lambda x: np.where(x >= 0.3, 1.0, -1.0), 0.0, 1.0) == 0.3
+        above = _bisect(lambda x: np.where(x > 0.3, 1.0, -1.0), 0.0, 1.0)
+        assert above == np.nextafter(0.3, 1.0)
+
+    def test_finds_a_root_at_either_end_of_the_bracket(self):
+        assert _bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert _bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
 
 
 class TestLinkValidation:

@@ -92,6 +92,13 @@ class TestOuOrthant:
         with pytest.raises(QuadratureError):
             ou_orthant([9.0], 0.5, QuadratureSpec(L=8.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [[8.0], [7.0, 8.0]])
+    def test_rejects_threshold_at_truncation(self, a):
+        # A threshold at L would leave a zero-width stage grid.
+        with pytest.raises(QuadratureError, match="enlarge L"):
+            ou_orthant(a, 0.5, QuadratureSpec(L=8.0))
+
     def test_rejects_nan_threshold(self):
         with pytest.raises(ValueError):
             ou_orthant([np.nan], 0.5)

@@ -81,6 +81,17 @@ class TestCcdfProfile:
                          QuadratureSpec())
         assert q[-1] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_threshold_at_truncation_grows_it(self):
+        # This censored link's thresholds at phase 0 are 0, 1, 2, 3, 4: the
+        # last one lies exactly at L = 4.
+        link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
+        model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
+        q = ccdf_profile(model, 0.0, 5, QuadratureSpec(m=64, L=4.0))
+        ref = ccdf_profile(model, 0.0, 5, QuadratureSpec(m=400, L=8.0))
+        assert q[5] > 3e-6
+        assert q == pytest.approx(ref, rel=1e-7)
+
 
 class TestExactCcdfGrid:
     def test_unit_below_phase_and_monotone_in_x(self):
