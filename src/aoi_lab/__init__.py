@@ -59,10 +59,7 @@ from .outputs import (
 from .simulate import (
     EmpiricalCcdf,
     SimConfig,
-    sample_delay_paths,
     sample_driver,
-    sample_ou_on_grid,
-    simulate_aoi_paths,
     simulate_empirical_ccdf,
 )
 from .cli import RunConfig
@@ -124,10 +121,7 @@ __all__ = [
     # simulate
     "EmpiricalCcdf",
     "SimConfig",
-    "sample_delay_paths",
     "sample_driver",
-    "sample_ou_on_grid",
-    "simulate_aoi_paths",
     "simulate_empirical_ccdf",
     # cli
     "RunConfig",

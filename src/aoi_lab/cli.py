@@ -49,7 +49,7 @@ from .outputs import (
     write_percentiles_csv,
     write_timeavg_csv,
 )
-from .simulate import SimConfig, simulate_aoi_paths, simulate_empirical_ccdf
+from .simulate import SimConfig, simulate_empirical_ccdf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,6 +125,10 @@ class RunConfig:
                 raise UsageError(f"{self.mode} mode takes no kappa")
         else:
             raise UsageError(f"unknown correlation mode {self.mode!r}")
+        for key, least in _COUNT_FLOORS.items():
+            value = getattr(self, _CONFIG_KEYS[key][0])
+            if value < least:
+                raise UsageError(f"config key {key!r} must be >= {least}, got {value}")
 
     # -- nested-dict round trip ------------------------------------------
 
@@ -230,6 +234,8 @@ _CONFIG_KEYS = {
     "out": ("out", str),
 }
 _SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
+# Counts checked where a config is built, before any model is.
+_COUNT_FLOORS = {"simulation.n_paths": 1, "simulation.n_saved_paths": 0, "threads": 1}
 
 
 def _leaves(d: dict, prefix: str = ""):
@@ -383,16 +389,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         t_grid=cfg.t_grid.values(),
         x_grid=cfg.x_grid.values(),
     )
-    emp = simulate_empirical_ccdf(sim)
+    n_save = min(cfg.n_saved_paths, cfg.n_paths)
+    emp = simulate_empirical_ccdf(sim, n_saved=n_save)
     out = cfg.out
     write_ccdf_csv(emp.grid, os.path.join(out, "empirical_ccdf.csv"), stderr=emp.stderr)
-    n_save = min(cfg.n_saved_paths, cfg.n_paths)
-    saved = SimConfig(
-        model=model, n_paths=n_save, seed=cfg.seed, t_grid=sim.t_grid, x_grid=sim.x_grid
-    )
-    ages = simulate_aoi_paths(saved)
-    p, t = np.meshgrid(np.arange(n_save), saved.t_grid, indexing="ij")
-    _write_table(os.path.join(out, "paths.csv"), "path,t,age", p, t, ages)
+    p, t = np.meshgrid(np.arange(n_save), sim.t_grid, indexing="ij")
+    _write_table(os.path.join(out, "paths.csv"), "path,t,age", p, t, emp.ages)
     write_meta_json(_meta(cfg, "simulate", started), os.path.join(out, "meta.json"))
     return EXIT_OK
 
@@ -577,7 +579,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg)
         if args.command == "sweep":
-            params = dict(_parse_sweep_values(p) for p in args.param)
+            params: dict[str, list] = {}
+            for name, values in map(_parse_sweep_values, args.param):
+                if name in params:
+                    raise UsageError(f"--param {name!r} is given more than once")
+                params[name] = values
             return cmd_sweep(cfg, params)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

@@ -5,8 +5,10 @@ one-step transition is available in closed form, so there is no
 time-discretization error), mapped through the link function, and turned
 into age sample paths.  The empirical CCDF grid used to cross-validate the
 exact engine counts, per observation time, the sorted ages above each x,
-streaming over chunks of paths drawn from one continuing generator, so its
-memory does not grow with the number of paths.
+streaming over chunks of paths drawn from one Philox generator seeded with
+the configured seed, so its memory does not grow with the number of paths.
+The same draw yields the ages of its first paths on request; that is what
+the CLI saves as paths.csv.
 """
 
 from __future__ import annotations
@@ -47,65 +49,43 @@ class SimConfig:
 
 @dataclass
 class EmpiricalCcdf:
-    """Empirical CCDF grid plus per-cell binomial standard errors and the
-    count of still-infinite ages per observation time."""
+    """Empirical CCDF grid plus per-cell binomial standard errors, the
+    count of still-infinite ages per observation time, and the ages of the
+    leading paths, one row per path."""
 
     grid: CcdfGrid
     stderr: np.ndarray
     n_infinite: np.ndarray
     n_paths: int
+    ages: np.ndarray
 
 
-def _generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def sample_ou_on_grid(
-    kappa: float,
-    tau: float,
-    n: int,
-    seed: int | np.random.Generator,
-    n_paths: int = 1,
+def sample_driver(
+    model: DelayModel, n: int, rng: np.random.Generator, n_paths: int
 ) -> np.ndarray:
-    """Stationary OU samples at times 0, tau, ..., (n-1)*tau, exact in
-    distribution: Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i.
+    """Gaussian driver samples at the first n generation instants, shape
+    (n_paths, n), exact in distribution: stationary AR(1) in ou mode
+    (Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i), independent
+    N(0,1) in iid mode, and the time-zero state repeated in frozen mode.
 
-    Returns shape (n_paths, n); deterministic given the seed.  A Generator
-    in place of the seed is drawn from and advanced: rows drawn in chunks
-    from one Generator equal one draw of all rows from its seed.
+    Draws from and advances rng, so rows drawn in chunks from one Generator
+    equal one draw of all rows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    rho = math.exp(-kappa * tau)
+    if model.correlation.kind == "frozen":
+        z0 = rng.standard_normal((n_paths, 1))
+        return np.broadcast_to(z0, (n_paths, n)).copy()
+    xi = rng.standard_normal((n_paths, n))
+    if model.correlation.kind == "iid":
+        return xi
+    rho = model.step_correlation()
     noise_scale = math.sqrt(1.0 - rho * rho)
-    xi = _generator(seed).standard_normal((n_paths, n))
-    z = np.empty((n_paths, n))
+    z = np.empty_like(xi)
     z[:, 0] = xi[:, 0]
     for i in range(1, n):
         z[:, i] = rho * z[:, i - 1] + noise_scale * xi[:, i]
     return z
-
-
-def sample_driver(
-    model: DelayModel, n: int, seed: int | np.random.Generator, n_paths: int
-) -> np.ndarray:
-    """Gaussian driver samples on the generation grid for any correlation
-    mode; seed is an integer or a Generator, as in sample_ou_on_grid."""
-    mode = model.correlation
-    if mode.kind == "ou":
-        return sample_ou_on_grid(
-            mode.kappa, model.schedule.tau, n, seed, n_paths=n_paths
-        )
-    rng = _generator(seed)
-    if mode.kind == "iid":
-        return rng.standard_normal((n_paths, n))
-    # Frozen: every sample equals the time-zero state.
-    z0 = rng.standard_normal((n_paths, 1))
-    return np.broadcast_to(z0, (n_paths, n)).copy()
 
 
 def _n_packets(config: SimConfig) -> int:
@@ -113,34 +93,29 @@ def _n_packets(config: SimConfig) -> int:
     return int(math.floor(config.horizon / config.model.schedule.tau)) + 1
 
 
-def sample_delay_paths(config: SimConfig) -> np.ndarray:
-    """Delay sequences, shape (n_paths, n_packets)."""
-    z = sample_driver(config.model, _n_packets(config), config.seed, config.n_paths)
-    return g_apply(config.model.link, z)
-
-
-def simulate_aoi_paths(config: SimConfig) -> np.ndarray:
-    """Age values at the configured observation times, one row per path."""
-    delays = sample_delay_paths(config)
-    return aoi_path_matrix(delays, config.model.schedule, config.t_grid)
-
-
 def _chunk_counts(
-    config: SimConfig, rng: np.random.Generator, size: int, x_grid: np.ndarray
+    config: SimConfig,
+    rng: np.random.Generator,
+    size: int,
+    x_grid: np.ndarray,
+    saved: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """For size fresh paths: per observation time, the number of ages above
-    each x and the number of infinite ages.  The chunk's arrays are freed on
-    return, before the next chunk is drawn."""
+    each x and the number of infinite ages.  The leading rows of the chunk's
+    ages are copied into saved, as many as it holds; the chunk's arrays are
+    freed on return, before the next chunk is drawn."""
     model = config.model
     z = sample_driver(model, _n_packets(config), rng, size)
     ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, config.t_grid)
+    saved[:] = ages[: len(saved)]
     by_time = np.sort(ages.T, axis=1)
     above = [size - np.searchsorted(a, x_grid, side="right") for a in by_time]
     return np.array(above, dtype=np.int64), np.isinf(by_time).sum(axis=1)
 
 
-def simulate_empirical_ccdf(config: SimConfig) -> EmpiricalCcdf:
-    """Empirical Pr(A_t > x) over the configured grid.
+def simulate_empirical_ccdf(config: SimConfig, n_saved: int = 0) -> EmpiricalCcdf:
+    """Empirical Pr(A_t > x) over the configured grid, and the ages of the
+    first n_saved paths of the same draw.
 
     Each chunk of paths adds, per observation time, the number of its ages
     above each x: the sorted ages past a searchsorted(side="right") index,
@@ -149,14 +124,19 @@ def simulate_empirical_ccdf(config: SimConfig) -> EmpiricalCcdf:
     additionally counted per observation time.  The counts are exact
     integers, so p equals the mean of the per-path indicators bit for bit.
     """
+    if not 0 <= n_saved <= config.n_paths:
+        raise ValueError(f"n_saved must lie in [0, {config.n_paths}], got {n_saved}")
     t_grid = np.asarray(config.t_grid, dtype=float)
     x_grid = np.asarray(config.x_grid, dtype=float)
-    rng = _generator(config.seed)
+    rng = np.random.Generator(np.random.Philox(config.seed))
     counts = np.zeros((t_grid.size, x_grid.size), dtype=np.int64)
     n_infinite = np.zeros(t_grid.size, dtype=np.int64)
+    ages = np.empty((n_saved, t_grid.size))
     for start in range(0, config.n_paths, _CHUNK_PATHS):
         size = min(_CHUNK_PATHS, config.n_paths - start)
-        above, infinite = _chunk_counts(config, rng, size, x_grid)
+        above, infinite = _chunk_counts(
+            config, rng, size, x_grid, ages[start : start + size]
+        )
         counts += above
         n_infinite += infinite
     p = counts / config.n_paths
@@ -168,5 +148,9 @@ def simulate_empirical_ccdf(config: SimConfig) -> EmpiricalCcdf:
         kind="empirical",
     )
     return EmpiricalCcdf(
-        grid=grid, stderr=stderr, n_infinite=n_infinite, n_paths=config.n_paths
+        grid=grid,
+        stderr=stderr,
+        n_infinite=n_infinite,
+        n_paths=config.n_paths,
+        ages=ages,
     )

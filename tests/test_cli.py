@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from aoi_lab import cli
+from aoi_lab import cli, simulate
 from aoi_lab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CALIBRATION,
@@ -205,6 +205,31 @@ class TestCommands:
         ).read_bytes()
         assert (out1 / "paths.csv").read_text().startswith("path,t,age\n")
 
+    def test_simulate_draws_once(self, config_path, tmp_path, monkeypatch):
+        # Chunks of 300 paths, with paths.csv's 700 paths spanning three.
+        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 300)
+        sample_driver, calls = simulate.sample_driver, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_driver(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "sample_driver", counted)
+        out = tmp_path / "once"
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--set", "simulation.n_saved_paths=700"]) == EXIT_OK
+        assert len(calls) == math.ceil(BASE_CONFIG["simulation"]["n_paths"] / 300)
+        lines = (out / "paths.csv").read_text().splitlines()
+        assert len(lines) == 1 + 700 * 4
+        assert lines[-1].startswith("699,7,")
+
+    def test_simulate_saves_no_paths(self, config_path, tmp_path):
+        out = tmp_path / "none"
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--set", "simulation.n_saved_paths=0"]) == EXIT_OK
+        assert (out / "paths.csv").read_text() == "path,t,age\n"
+        assert (out / "empirical_ccdf.csv").exists()
+
     def test_exact_is_thread_invariant(self, config_path, tmp_path):
         outs = []
         for threads in ("1", "3"):
@@ -290,6 +315,14 @@ class TestCommands:
             main(["sweep", "--config", config_path, "--out", str(tmp_path / "s"),
                   "--param", "c=10"])
 
+    def test_sweep_rejects_repeated_param(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep_twice"
+        code = main(["sweep", "--config", config_path, "--out", str(out),
+                     "--param", "c=0,1", "--param", "c=10"])
+        assert code == EXIT_USAGE
+        assert "'c'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_accepts_kappa_config(self, tmp_path):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["correlation"] = {"mode": "ou", "kappa": 0.067}
@@ -353,15 +386,31 @@ class TestExitCodes:
             ("x_grid.step=0.5", "x_grid"),
             ("quadrature.m=64.7", "quadrature.m"),
             ("threads=true", "threads"),
+            ("simulation.n_paths=0", "simulation.n_paths"),
+            ("simulation.n_saved_paths=-1", "simulation.n_saved_paths"),
+            ("threads=0", "threads"),
+            ("--threads=-2", "threads"),
+            ("AOI_LAB_THREADS=0", "threads"),
         ],
     )
-    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, override, key):
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                           override, key):
+        # A --set override, unless it is a flag or the threads variable.
         doc = json.loads(json.dumps(BASE_CONFIG))
         del doc["x_grid"]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
+        name, _, value = override.partition("=")
+        extra = ["--set", override]
+        if name.startswith("--"):
+            extra = [override]
+        elif name == "AOI_LAB_THREADS":
+            monkeypatch.setenv(name, value)
+            extra = []
+        # Counts are checked before any model is built.
+        monkeypatch.setattr(RunConfig, "model", None)
         code = main(["exact", "--config", str(path), "--out", str(tmp_path / "o"),
-                     "--set", override])
+                     *extra])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("aoi-lab: usage error: ") and repr(key) in err

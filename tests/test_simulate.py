@@ -14,16 +14,11 @@ from aoi_lab.links import (
     DelayModel,
     LinkFunction,
     calibrate_kappa,
+    g_apply,
 )
+from aoi_lab.core import aoi_path_matrix
 from aoi_lab.outputs import exact_ccdf_grid
-from aoi_lab.simulate import (
-    SimConfig,
-    sample_delay_paths,
-    sample_driver,
-    sample_ou_on_grid,
-    simulate_aoi_paths,
-    simulate_empirical_ccdf,
-)
+from aoi_lab.simulate import SimConfig, sample_driver, simulate_empirical_ccdf
 
 
 def make_model(kind="ou", kappa=0.25, tau=1.0):
@@ -32,51 +27,56 @@ def make_model(kind="ou", kappa=0.25, tau=1.0):
     return DelayModel(link, corr, GenerationSchedule(tau))
 
 
+def rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
 class TestOuSampling:
     def test_shape_and_determinism(self):
-        z1 = sample_ou_on_grid(0.3, 1.0, 50, seed=9, n_paths=4)
-        z2 = sample_ou_on_grid(0.3, 1.0, 50, seed=9, n_paths=4)
+        model = make_model(kappa=0.3)
+        z1 = sample_driver(model, 50, rng(9), n_paths=4)
+        z2 = sample_driver(model, 50, rng(9), n_paths=4)
         assert z1.shape == (4, 50)
         assert np.array_equal(z1, z2)
 
     def test_different_seeds_differ(self):
-        z1 = sample_ou_on_grid(0.3, 1.0, 10, seed=1)
-        z2 = sample_ou_on_grid(0.3, 1.0, 10, seed=2)
+        model = make_model(kappa=0.3)
+        z1 = sample_driver(model, 10, rng(1), n_paths=1)
+        z2 = sample_driver(model, 10, rng(2), n_paths=1)
         assert not np.array_equal(z1, z2)
 
     def test_stationary_moments(self):
-        z = sample_ou_on_grid(0.5, 1.0, 20, seed=123, n_paths=200_000)
+        z = sample_driver(make_model(kappa=0.5), 20, rng(123), n_paths=200_000)
         # Each column is standard normal; 200k paths give ~0.0022 stderr.
         assert abs(z.mean()) < 0.01
         assert abs(z.var() - 1.0) < 0.02
 
     def test_one_step_correlation(self):
         kappa, tau = 0.5, 1.0
-        z = sample_ou_on_grid(kappa, tau, 2, seed=77, n_paths=400_000)
+        z = sample_driver(make_model(kappa=kappa, tau=tau), 2, rng(77), n_paths=400_000)
         rho_hat = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
         assert rho_hat == pytest.approx(math.exp(-kappa * tau), abs=0.01)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            sample_ou_on_grid(0.5, 1.0, 0, seed=1)
+            sample_driver(make_model(kappa=0.5), 0, rng(1), n_paths=1)
         with pytest.raises(ValueError):
-            sample_ou_on_grid(0.0, 1.0, 5, seed=1)
+            CorrelationMode("ou", kappa=0.0)
 
 
 class TestDriverModes:
     def test_frozen_paths_are_constant(self):
-        z = sample_driver(make_model("frozen"), 12, seed=4, n_paths=8)
+        z = sample_driver(make_model("frozen"), 12, rng(4), n_paths=8)
         assert np.all(z == z[:, :1])
 
     def test_iid_columns_uncorrelated(self):
-        z = sample_driver(make_model("iid"), 2, seed=4, n_paths=400_000)
+        z = sample_driver(make_model("iid"), 2, rng(4), n_paths=400_000)
         rho_hat = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
         assert abs(rho_hat) < 0.01
 
     def test_delay_paths_respect_left_endpoint(self):
         model = make_model()
-        cfg = SimConfig(model, n_paths=100, seed=5, t_grid=[10.0], x_grid=[1.0])
-        delays = sample_delay_paths(cfg)
+        delays = g_apply(model.link, sample_driver(model, 11, rng(5), n_paths=100))
         assert delays.shape == (100, 11)
         assert np.all(delays > 0.5)
 
@@ -127,9 +127,9 @@ class TestStreamedCcdf:
     @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
     def test_chunked_driver_equals_one_draw(self, kind):
         model = make_model(kind)
-        rng = np.random.Generator(np.random.Philox(11))
-        parts = [sample_driver(model, 7, rng, k) for k in (3, 5, 1, 4)]
-        assert np.array_equal(np.vstack(parts), sample_driver(model, 7, seed=11, n_paths=13))
+        stream = rng(11)
+        parts = [sample_driver(model, 7, stream, k) for k in (3, 5, 1, 4)]
+        assert np.array_equal(np.vstack(parts), sample_driver(model, 7, rng(11), n_paths=13))
 
     @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
     def test_byte_identical_to_dense_indicator_mean(self, kind):
@@ -138,15 +138,37 @@ class TestStreamedCcdf:
         n_paths = 2 * simulate._CHUNK_PATHS + 1
         t_grid = [0.5, 2.5, 5.5]
         x_grid = [0.0, 0.5, 1.0, 1.5, 2.25, 2.5, 4.5, 1e9]
-        cfg = SimConfig(make_model(kind), n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
-        ages = simulate_aoi_paths(cfg)
+        model = make_model(kind)
+        cfg = SimConfig(model, n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
+        # The dense oracle: one draw of every path from the same seed.
+        z = sample_driver(model, 6, rng(13), n_paths)
+        ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
         x = np.asarray(x_grid)
         assert np.isin(ages, x).any()
         p = (ages[:, :, None] > x).mean(axis=0)
-        emp = simulate_empirical_ccdf(cfg)
+        emp = simulate_empirical_ccdf(cfg, n_saved=n_paths)
         assert np.array_equal(emp.grid.p, p)
         assert np.array_equal(emp.stderr, np.sqrt(p * (1.0 - p) / n_paths))
         assert np.array_equal(emp.n_infinite, np.isinf(ages).sum(axis=0))
+        assert np.array_equal(emp.ages, ages)
+
+    @pytest.mark.parametrize("n_saved", [0, 3, 4, 6, 11])
+    def test_saved_ages_are_the_leading_paths(self, monkeypatch, n_saved):
+        # Chunks of 4 paths: saving stops inside, at and past a chunk's end.
+        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 4)
+        model = make_model()
+        cfg = SimConfig(model, 11, seed=5, t_grid=[0.5, 2.5, 5.5], x_grid=[1.0])
+        z = sample_driver(model, 6, rng(5), 11)
+        ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, cfg.t_grid)
+        saved = simulate_empirical_ccdf(cfg, n_saved=n_saved).ages
+        assert saved.shape == (n_saved, 3)
+        assert np.array_equal(saved, ages[:n_saved])
+
+    @pytest.mark.parametrize("n_saved", [-1, 12])
+    def test_rejects_saved_outside_ensemble(self, n_saved):
+        cfg = SimConfig(make_model(), 11, seed=5, t_grid=[2.5], x_grid=[1.0])
+        with pytest.raises(ValueError):
+            simulate_empirical_ccdf(cfg, n_saved=n_saved)
 
     def test_memory_does_not_grow_with_paths(self):
         # The README config: c = 10, tau = 2, 20 times by 501 x values.
