@@ -129,6 +129,12 @@ class RunConfig:
             value = getattr(self, _CONFIG_KEYS[key][0])
             if value < least:
                 raise UsageError(f"config key {key!r} must be >= {least}, got {value}")
+        quadrature = {"quadrature.m": {"m": self.quad_m}, "quadrature.L": {"L": self.quad_l}}
+        for key, arg in quadrature.items():
+            try:
+                QuadratureSpec(**arg)
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
 
     # -- nested-dict round trip ------------------------------------------
 
@@ -288,7 +294,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.threads is not None:
         doc["threads"] = args.threads
     elif "threads" not in doc and os.environ.get("AOI_LAB_THREADS"):
-        doc["threads"] = int(os.environ["AOI_LAB_THREADS"])
+        raw = os.environ["AOI_LAB_THREADS"]
+        try:
+            doc["threads"] = _integer(json.loads(raw))
+        except ValueError:
+            raise UsageError(
+                f"environment variable 'AOI_LAB_THREADS': expected an integer, got {raw!r}"
+            ) from None
     return RunConfig.from_dict(doc)
 
 

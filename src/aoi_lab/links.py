@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import GenerationSchedule
 from .errors import CalibrationError
-from .orthant import _gauss_legendre, std_normal_tail
+from .orthant import _panels, std_normal_tail
 
 SHIFTED_LOGNORMAL = "shifted-lognormal"
 CENSORED_NORMAL = "censored-normal"
@@ -208,7 +208,7 @@ def calibrate_marginal(target: CalibrationTarget, kind: str) -> tuple[float, flo
     return mu_hat, s_hat
 
 
-def lag_covariance(link: LinkFunction, rho: float, n_nodes: int = 200) -> float:
+def lag_covariance(link: LinkFunction, rho: float) -> float:
     """Cov[g(Z_0), g(Z_1)] for standard bivariate normal (Z_0, Z_1) with
     correlation rho."""
     if not -1.0 <= rho <= 1.0:
@@ -224,9 +224,8 @@ def lag_covariance(link: LinkFunction, rho: float, n_nodes: int = 200) -> float:
     upper = max(alpha, 0.0) + 12.0
     if upper <= alpha:
         return 0.0
-    x, w = _gauss_legendre(n_nodes)
-    half = 0.5 * (upper - alpha)
-    u = alpha + half * (x + 1.0)
+    # Ten equal Gauss-Legendre panels: 200 nodes.
+    u, w = _panels(np.linspace(alpha, upper, 11))
     m = rho * u
     if sbar_sq < 1e-14:
         inner = np.maximum(m - alpha, 0.0)
@@ -235,7 +234,7 @@ def lag_covariance(link: LinkFunction, rho: float, n_nodes: int = 200) -> float:
         inner = (m - alpha) * std_normal_tail((alpha - m) / sbar) + sbar * _phi(
             (alpha - m) / sbar
         )
-    e_cross = float(np.sum(half * w * (u - alpha) * _phi(u) * inner))
+    e_cross = float(np.sum(w * (u - alpha) * _phi(u) * inner))
     h1 = _censored_h1(alpha)
     return link.s_hat**2 * (e_cross - h1 * h1)
 

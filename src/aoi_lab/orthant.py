@@ -5,6 +5,8 @@ unit-variance stationary AR(1) chain with one-step correlation ``rho`` by
 propagating the conditional density of the current state through the
 transition kernel N(rho*u, 1 - rho^2), one truncated quadrature per stage.
 One Nystrom rule (Atkinson 1997) serves every rho in (0, 1); see OuChain.
+Every quadrature, here and in the censored-normal lag integral of links,
+applies one Gauss-Legendre rule of _PANEL_ORDER nodes on panels (_panels).
 Closed forms cover the independent and fully-frozen limits, and a plain
 Monte-Carlo estimator over the chain's covariance matrix serves as an
 independent cross-check.
@@ -27,8 +29,9 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 # Below this running probability the chain is treated as extinct.
 _TINY_PROB = 1e-300
 
-# Minimum quadrature nodes assigned to any panel of a split grid.
-_MIN_PANEL_NODES = 12
+# Nodes of the one Gauss-Legendre rule, computed once, that every panel uses.
+_PANEL_ORDER = 20
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
 # OuChain's stage rule: nodes per kernel width, the node budget of a stage
 # (rho ~ 1 - 1e-9 at L = 8), the kernel band half-width in sd (pdf(9)/pdf(0)
@@ -61,7 +64,8 @@ class QuadratureSpec:
     """Discretization controls for the stagewise tail recursion.
 
     m is the fewest nodes per stage (OuChain adds nodes for narrow
-    kernels), L the truncation half-width in standard-normal units.
+    kernels), laid out in Gauss-Legendre panels of _PANEL_ORDER nodes; L
+    is the truncation half-width in standard-normal units.
     """
 
     m: int = 400
@@ -74,34 +78,13 @@ class QuadratureSpec:
             raise ValueError(f"L must be >= 4, got {self.L}")
 
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
-
-
-def _split_grid(breaks: Sequence[float], m: int):
-    """Composite Gauss-Legendre grid over [breaks[0], breaks[-1]].
-
-    Nodes are allocated to panels proportionally to panel length, with a
-    floor so that thin panels (used to isolate near-discontinuities) stay
-    resolved.
-    """
-    breaks = np.asarray(breaks, dtype=float)
-    lengths = np.diff(breaks)
-    counts = np.maximum(
-        _MIN_PANEL_NODES, np.rint(m * lengths / lengths.sum()).astype(int)
-    )
-    nodes_parts, weight_parts = [], []
-    for lo, hi, n in zip(breaks[:-1], breaks[1:], counts):
-        x, w = _gauss_legendre(int(n))
-        half = 0.5 * (hi - lo)
-        nodes_parts.append(lo + half * (x + 1.0))
-        weight_parts.append(half * w)
-    return np.concatenate(nodes_parts), np.concatenate(weight_parts)
+def _panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PANEL_ORDER-point Gauss-Legendre rule on
+    each panel between consecutive edges, in panel order."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (_GL_NODES + 1.0)
+    return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 class OuChain:
@@ -109,8 +92,8 @@ class OuChain:
 
     Each call to extend() conditions on one more event {Z_n > a_n} and
     returns the updated joint probability.  The conditional density of the
-    newest state given all prior events is carried on a panel-split
-    Gauss-Legendre grid over [max(a_n, -L), L]; thresholds of -inf are
+    newest state given all prior events is carried on _PANEL_ORDER-node
+    Gauss-Legendre panels over [max(a_n, -L), L]; thresholds of -inf are
     clamped to -L and contribute a factor that integrates to 1.
 
     Every stage, at every rho, takes the Nystrom update of _propagate.  In
@@ -177,18 +160,23 @@ class OuChain:
         return self.prob
 
     def _grid(self, breaks: Sequence[float]):
-        """Split grid over breaks with m nodes, or with _NODES_PER_WIDTH
-        nodes per kernel width if that is more, in equal panels of at most
-        about m nodes: _split_grid(breaks, m) whenever m nodes suffice."""
-        m = self.spec.m
-        n = math.ceil(_NODES_PER_WIDTH * (breaks[-1] - breaks[0]) * self.rho / self.sd)
+        """Panels over breaks for n = max(m, _NODES_PER_WIDTH nodes per
+        kernel width) nodes: the panel width is h = span*_PANEL_ORDER/n,
+        and each segment between breaks is cut into ceil(length/h) equal
+        panels, so a segment thinner than h gets one panel."""
+        breaks = np.asarray(breaks, dtype=float)
+        span = breaks[-1] - breaks[0]
+        n = math.ceil(_NODES_PER_WIDTH * span * self.rho / self.sd)
         if n > _MAX_STAGE_NODES:
             raise QuadratureError(
                 f"rho={self.rho!r} needs {n} nodes per stage, over the budget of "
                 f"{_MAX_STAGE_NODES}; use correlation.mode: frozen for this limit"
             )
-        panels = np.linspace(breaks[0], breaks[-1], math.ceil(n / m) + 1)[1:-1]
-        return _split_grid(np.sort(np.concatenate((breaks, panels))), max(n, m))
+        h = span * _PANEL_ORDER / max(n, self.spec.m)
+        counts = np.ceil(np.diff(breaks) / h).astype(int)
+        edges = [np.linspace(lo, hi, k, endpoint=False)
+                 for lo, hi, k in zip(breaks[:-1], breaks[1:], counts)]
+        return _panels(np.concatenate(edges + [breaks[-1:]]))
 
     def _propagate(self, targets: np.ndarray) -> np.ndarray:
         """Density of the next state at the target nodes, given the events

@@ -111,3 +111,36 @@ def test_import_loads_no_interpolation_code(tmp_path):
     codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
     assert codes == [cli.EXIT_OK] * 3
     assert loaded == []
+
+
+def test_commands_build_no_quadrature_rule(tmp_path):
+    # The one Gauss-Legendre rule is computed at import: exact on the
+    # README config at two threads, and acceptance criterion 2's
+    # near-frozen chains, whose kernel-sized stage grids vary in size,
+    # compute no other.
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.json"
+    config.write_text(block)
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from aoi_lab import cli, orthant\n"
+        "calls = []\n"
+        "leggauss = np.polynomial.legendre.leggauss\n"
+        "np.polynomial.legendre.leggauss = lambda n: calls.append(n) or leggauss(n)\n"
+        "argv = ['exact', '--config', sys.argv[1], '--out', sys.argv[2], '--threads', '2']\n"
+        "exit_code = cli.main(argv)\n"
+        "exact_calls = len(calls)\n"
+        "rng = np.random.Generator(np.random.Philox(2024))\n"
+        "for _ in range(25):\n"
+        "    n = int(rng.integers(1, 7))\n"
+        "    orthant.ou_orthant(rng.uniform(-2.0, 2.0, size=n), 1 - 1e-6)\n"
+        "print(json.dumps([exit_code, exact_calls, len(calls) - exact_calls]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [cli.EXIT_OK, 0, 0]

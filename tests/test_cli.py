@@ -391,6 +391,10 @@ class TestExitCodes:
             ("threads=0", "threads"),
             ("--threads=-2", "threads"),
             ("AOI_LAB_THREADS=0", "threads"),
+            ("quadrature.m=0", "quadrature.m"),
+            ("quadrature.L=2", "quadrature.L"),
+            ("AOI_LAB_THREADS=abc", "AOI_LAB_THREADS"),
+            ("AOI_LAB_THREADS=1.5", "AOI_LAB_THREADS"),
         ],
     )
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, monkeypatch,
@@ -407,7 +411,7 @@ class TestExitCodes:
         elif name == "AOI_LAB_THREADS":
             monkeypatch.setenv(name, value)
             extra = []
-        # Counts are checked before any model is built.
+        # Counts and quadrature are checked before any model is built.
         monkeypatch.setattr(RunConfig, "model", None)
         code = main(["exact", "--config", str(path), "--out", str(tmp_path / "o"),
                      *extra])

@@ -168,11 +168,11 @@ class TestStageUpdate:
         # At rho 0.5 the kernel band of every stage covers every node, so
         # the update is the whole-array product, bit for bit.  At rho 0.99
         # the band leaves out nodes more than 9 sd from the targets, and at
-        # 0.999 the targets of the kernel-sized grids (up to 717 nodes) also
+        # 0.999 the targets of the kernel-sized grids (up to 740 nodes) also
         # split into blocks; both agree to rounding.  The thresholds
         # include vacuous ones, and a threshold just below the edge rho*1.0
-        # gets a thin panel with the floor of nodes, so node counts vary
-        # from stage to stage and the work array must regrow.
+        # leaves a thin segment with a 20-node panel of its own, so node
+        # counts vary from stage to stage and the work array must regrow.
         spec = QuadratureSpec(m=m)
         chain, ref = OuChain(rho, spec), AllocatingChain(rho, spec)
         sizes = set()
@@ -204,6 +204,28 @@ class TestStageUpdate:
             tracemalloc.stop()
         assert chain.prob > 0.0
         assert peak < m * m * 8
+
+
+class TestStageGrid:
+    @pytest.mark.parametrize(
+        "rho,m", [(0.5, 16), (0.5, 64), (0.875, 400), (0.999, 256), (1 - 1e-6, 400)]
+    )
+    def test_panels_cover_each_segment(self, rho, m):
+        # Each segment between breaks is cut into equal 20-node panels, at
+        # least max(m, 2 per kernel width) nodes in all; a segment 1e-6
+        # wide, beside the edge of a threshold, gets one panel.
+        chain = OuChain(rho, QuadratureSpec(m=m))
+        for breaks in ([-8.0, 8.0], [-1.3, 0.4, 8.0], [0.7, 0.7 + 1e-6, 8.0],
+                       [-0.2, 8.0 - 1e-6, 8.0]):
+            nodes, weights = chain._grid(breaks)
+            kernel = math.ceil(2.0 * (breaks[-1] - breaks[0]) * rho / chain.sd)
+            assert nodes.size >= max(m, kernel) and nodes.size % 20 == 0
+            assert np.all(np.diff(nodes) > 0)
+            for lo, hi in zip(breaks[:-1], breaks[1:]):
+                inside = (nodes > lo) & (nodes < hi)
+                assert abs(weights[inside].sum() - (hi - lo)) <= 1e-13
+                if hi - lo == pytest.approx(1e-6):
+                    assert inside.sum() == 20
 
 
 class TestNarrowKernels:
