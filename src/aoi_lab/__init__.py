@@ -30,10 +30,6 @@ from .links import (
 from .orthant import (
     OuChain,
     QuadratureSpec,
-    mvn_orthant_mc,
-    orthant_frozen,
-    orthant_iid,
-    ou_covariance,
     ou_orthant,
     std_normal_tail,
 )
@@ -94,10 +90,6 @@ __all__ = [
     # orthant
     "OuChain",
     "QuadratureSpec",
-    "mvn_orthant_mc",
-    "orthant_frozen",
-    "orthant_iid",
-    "ou_covariance",
     "ou_orthant",
     "std_normal_tail",
     # outputs

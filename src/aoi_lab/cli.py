@@ -185,17 +185,13 @@ class RunConfig:
             mu_hat, s_hat = calibrate_marginal(target, self.link_kind)
         link = LinkFunction(self.link_kind, self.x_min, mu_hat, s_hat)
         mode = self.mode
-        if mode == "ou" and self.c == 0:
-            mode = "iid"
-        elif mode == "ou" and self.c == math.inf:
-            mode = "frozen"
-        if mode == "ou":
-            kappa = self.kappa
-            if kappa is None:
-                kappa = calibrate_kappa(link, self.c)
-            corr = CorrelationMode(kind="ou", kappa=kappa, c=self.c)
-        else:
+        if mode == "ou" and self.c in (0, math.inf):
+            mode = "iid" if self.c == 0 else "frozen"
+        if mode != "ou":
             corr = CorrelationMode(kind=mode)
+        else:
+            kappa = self.kappa if self.kappa is not None else calibrate_kappa(link, self.c)
+            corr = CorrelationMode(kind="ou", kappa=kappa, c=self.c)
         return DelayModel(link=link, correlation=corr, schedule=GenerationSchedule(self.tau))
 
 
@@ -318,21 +314,12 @@ def _meta(cfg: RunConfig, command: str, started: float, extra: dict | None = Non
     return meta
 
 
-def _corr_label(model: DelayModel) -> float:
-    """Time constant of the model's correlation; a rate alone implies
-    c = calibrate_kappa(link, 1) / kappa, since kappa is proportional to 1/c."""
-    corr = model.correlation
-    if corr.kind != "ou":
-        return 0.0 if corr.kind == "iid" else math.inf
-    return corr.c if corr.c is not None else calibrate_kappa(model.link, 1.0) / corr.kappa
-
-
 def _percentile_row(cfg: RunConfig, model: DelayModel, values) -> PercentileRow:
     """The percentiles.csv row of a config and the model it builds; s is the
     target sd, or the link's sd when the config gives direct parameters."""
     return PercentileRow(
         link=cfg.link_kind,
-        c=_corr_label(model),
+        c=model.correlation.time_constant(model.link),
         tau=cfg.tau,
         s=cfg.s if cfg.s is not None else marginal_moments(model.link)[1],
         levels=DEFAULT_LEVELS,
@@ -358,7 +345,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         "mean_residual": mean - cfg.mu,
         "sd_residual": sd - cfg.s,
     }
-    if model.correlation.kind == "ou" and cfg.c is not None:
+    if model.correlation.c is not None:
         kappa = model.correlation.kappa
         ratio = lag_covariance(link, math.exp(-kappa * cfg.c)) / lag_covariance(link, 1.0)
         result["kappa"] = kappa
@@ -432,23 +419,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(se, 1e-300))
     frac_ok = float(np.mean(z <= 3.0))
 
-    # Dominance ladder: correlation increases left to right.  The run's own
-    # model is a rung (kappa in ou mode, else iid or frozen); its grid is
-    # computed once.
-    own = model.correlation
-    ladder = [("iid", CorrelationMode("iid"))]
-    if own.kind == "ou":
-        ladder += [
-            ("2kappa", CorrelationMode("ou", kappa=2 * own.kappa)),
-            ("kappa", own),
-            ("kappa/2", CorrelationMode("ou", kappa=own.kappa / 2)),
-        ]
-    ladder.append(("frozen", CorrelationMode("frozen")))
+    # The run's own model is a rung of the dominance ladder (kappa in ou
+    # mode, else iid or frozen); its grid is computed once.
     grids = [
-        (label, grid if corr == own else exact_ccdf_grid(
+        (label, grid if corr == model.correlation else exact_ccdf_grid(
             replace(model, correlation=corr), t_values, x_values, spec, threads=cfg.threads
         ))
-        for label, corr in ladder
+        for label, corr in model.correlation.ladder()
     ]
     dominance = []
     all_dominant = True
@@ -614,3 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

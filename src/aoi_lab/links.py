@@ -81,6 +81,21 @@ class CorrelationMode:
         elif self.kappa is not None:
             raise ValueError(f"{self.kind} mode takes no kappa")
 
+    def time_constant(self, link: LinkFunction) -> float:
+        """The time constant c: 0 in iid mode, inf in frozen mode, else the
+        calibration's; a rate alone implies calibrate_kappa(link, 1) / kappa."""
+        if self.kind != "ou":
+            return 0.0 if self.kind == "iid" else math.inf
+        return self.c if self.c is not None else calibrate_kappa(link, 1.0) / self.kappa
+
+    def ladder(self) -> list[tuple[str, CorrelationMode]]:
+        """Dominance ladder, correlation increasing left to right: iid,
+        2kappa, kappa (this mode) and kappa/2 in ou mode, frozen."""
+        ou = [] if self.kind != "ou" else [
+            ("2kappa", CorrelationMode("ou", kappa=2 * self.kappa)), ("kappa", self),
+            ("kappa/2", CorrelationMode("ou", kappa=self.kappa / 2))]
+        return [("iid", CorrelationMode("iid")), *ou, ("frozen", CorrelationMode("frozen"))]
+
 
 @dataclass(frozen=True)
 class DelayModel:
@@ -91,10 +106,12 @@ class DelayModel:
     schedule: GenerationSchedule
 
     def step_correlation(self) -> float:
-        """One-step correlation of the Gaussian driver on the generation grid."""
-        if self.correlation.kind != "ou":
-            raise ValueError("step correlation is defined for ou mode only")
-        return math.exp(-self.correlation.kappa * self.schedule.tau)
+        """One-step correlation rho of the Gaussian driver on the generation
+        grid: 0 in iid mode, 1 in frozen mode, exp(-kappa*tau) in ou mode."""
+        corr = self.correlation
+        if corr.kind == "ou":
+            return math.exp(-corr.kappa * self.schedule.tau)
+        return 0.0 if corr.kind == "iid" else 1.0
 
 
 @dataclass(frozen=True)

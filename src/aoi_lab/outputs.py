@@ -68,24 +68,24 @@ def ccdf_profile(
 
     Q[n] is the joint probability that the n most recent packets are all
     late, i.e. the Gaussian tail over thresholds g_inverse(j*tau + phi),
-    j = 0..n-1; Q[0] = 1.  Computed in one chain sweep (thresholds in
-    non-decreasing order, valid by time-reversibility), so every prefix
-    length is a byproduct.
+    j = 0..n-1; Q[0] = 1.  At rho = 0 it is a product of marginal tails, at
+    rho = 1 the tail of the largest threshold; otherwise one chain sweep
+    (thresholds in non-decreasing order, valid by time-reversibility)
+    yields every prefix length as a byproduct.
     """
     tau = model.schedule.tau
     args = np.arange(n_max) * tau + phi
     a = g_inverse(model.link, args) if n_max > 0 else np.empty(0)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     q = np.ones(n_max + 1)
-    kind = model.correlation.kind
-    if kind == "iid":
+    rho = model.step_correlation()
+    if rho == 0.0:
         q[1:] = np.cumprod(std_normal_tail(a))
         return q
-    if kind == "frozen":
+    if rho == 1.0:
         # Thresholds are non-decreasing, so the running max is the last one.
         q[1:] = std_normal_tail(np.maximum.accumulate(a))
         return q
-    rho = model.step_correlation()
     # Cut the sweep where a single coordinate already forces zero mass.
     dead = std_normal_tail(a) < _TAIL_FLOOR
     n_alive = int(np.argmax(dead)) if dead.any() else n_max

@@ -64,22 +64,20 @@ def sample_driver(
     model: DelayModel, n: int, rng: np.random.Generator, n_paths: int
 ) -> np.ndarray:
     """Gaussian driver samples at the first n generation instants, shape
-    (n_paths, n), exact in distribution: stationary AR(1) in ou mode
-    (Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i), independent
-    N(0,1) in iid mode, and the time-zero state repeated in frozen mode.
+    (n_paths, n), exact in distribution: the stationary AR(1) chain
+    Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i, which at rho = 0
+    is the raw N(0,1) draw bit for bit; at rho = 1, Z_0 repeated.
 
     Draws from and advances rng, so rows drawn in chunks from one Generator
     equal one draw of all rows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if model.correlation.kind == "frozen":
+    rho = model.step_correlation()
+    if rho == 1.0:
         z0 = rng.standard_normal((n_paths, 1))
         return np.broadcast_to(z0, (n_paths, n)).copy()
     xi = rng.standard_normal((n_paths, n))
-    if model.correlation.kind == "iid":
-        return xi
-    rho = model.step_correlation()
     noise_scale = math.sqrt(1.0 - rho * rho)
     z = np.empty_like(xi)
     z[:, 0] = xi[:, 0]

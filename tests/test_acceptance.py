@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from aoi_lab.cli import RunConfig
 from aoi_lab.cli import main as cli_main
 from aoi_lab.core import GenerationSchedule, decompose_time
 from aoi_lab.links import (
@@ -25,14 +26,7 @@ from aoi_lab.links import (
     lag_covariance,
     marginal_moments,
 )
-from aoi_lab.orthant import (
-    QuadratureSpec,
-    mvn_orthant_mc,
-    orthant_frozen,
-    orthant_iid,
-    ou_covariance,
-    ou_orthant,
-)
+from aoi_lab.orthant import QuadratureSpec, ou_orthant
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
     aoi_support,
@@ -41,6 +35,7 @@ from aoi_lab.outputs import (
     percentiles,
 )
 from aoi_lab.simulate import SimConfig, simulate_empirical_ccdf
+from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
 
 # Reference delay model used throughout: shifted-lognormal link with
 # direct parameters and a slowly-decaying OU driver.
@@ -217,20 +212,10 @@ def test_criterion_7_percentile_sweep(capsys):
     spreads: dict[tuple, float] = {}
     for kind in (SHIFTED_LOGNORMAL, CENSORED_NORMAL):
         for s in (0.75, 1.25):
-            target = CalibrationTarget(mu=1.0, s=s, x_min=X_MIN)
-            mu_hat, s_hat = calibrate_marginal(target, kind)
-            link = LinkFunction(kind, X_MIN, mu_hat, s_hat)
             for tau in tau_values:
-                schedule = GenerationSchedule(tau)
                 rows = []
                 for c in c_values:
-                    if c == 0.0:
-                        corr = CorrelationMode("iid")
-                    elif math.isinf(c):
-                        corr = CorrelationMode("frozen")
-                    else:
-                        corr = CorrelationMode("ou", kappa=calibrate_kappa(link, c))
-                    model = DelayModel(link, corr, schedule)
+                    model = RunConfig(kind, x_min=X_MIN, mu=1.0, s=s, c=c, tau=tau).model()
                     rows.append(percentiles(model, DEFAULT_LEVELS, spec))
                 tol = 1e-4 * tau  # bisection resolution of each percentile
                 for prev, curr in zip(rows, rows[1:]):

@@ -144,3 +144,20 @@ def test_commands_build_no_quadrature_rule(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [cli.EXIT_OK, 0, 0]
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # python -m aoi_lab runs the command line.
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.json"
+    config.write_text(block)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "aoi_lab", "exact", "--config", str(config),
+         "--out", str(out), "--set", "quadrature.m=64"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert (out / "ccdf.csv").read_text().startswith("t,x,ccdf\n")

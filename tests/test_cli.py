@@ -364,6 +364,31 @@ class TestCommands:
         for name in ("ccdf.csv", "heatmap.csv", "timeavg.csv", "percentiles.csv"):
             assert (routed / name).read_bytes() == (direct / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "rate,limit",
+        [(["correlation.c=1e-3"], "0"),
+         (["correlation.c=null", "correlation.kappa=1e-20"], "inf")],
+        ids=["rho-underflows-to-0", "rho-rounds-to-1"],
+    )
+    def test_exact_takes_the_limit_its_rho_rounds_to(self, config_path, tmp_path,
+                                                       rate, limit):
+        # An ou rate whose one-step correlation rounds to 0 or 1 is that
+        # limit: only the c column of percentiles.csv differs.
+        ou, routed = tmp_path / "ou", tmp_path / "routed"
+        short = ["--config", config_path, "--set", "quadrature.m=64"]
+        sets = [arg for key in rate for arg in ("--set", key)]
+        assert main(["exact", *short, "--out", str(ou), *sets]) == EXIT_OK
+        assert main(["exact", *short, "--out", str(routed),
+                     "--set", f"correlation.c={limit}"]) == EXIT_OK
+        for name in ("ccdf.csv", "heatmap.csv", "timeavg.csv"):
+            assert (ou / name).read_bytes() == (routed / name).read_bytes(), name
+
+        def without_c(out):
+            rows = (out / "percentiles.csv").read_text().splitlines()
+            return [row.split(",")[:1] + row.split(",")[2:] for row in rows]
+
+        assert without_c(ou) == without_c(routed)
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):

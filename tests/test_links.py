@@ -244,6 +244,26 @@ class TestCorrelationAndModel:
             GenerationSchedule(2.0),
         )
         assert model.step_correlation() == pytest.approx(math.exp(-0.5), rel=1e-14)
+        for kind, rho in (("iid", 0.0), ("frozen", 1.0)):
+            limit = DelayModel(model.link, CorrelationMode(kind), model.schedule)
+            assert limit.step_correlation() == rho
+
+    def test_time_constant(self):
+        link = lognormal_link()
+        assert CorrelationMode("iid").time_constant(link) == 0.0
+        assert CorrelationMode("frozen").time_constant(link) == math.inf
+        assert CorrelationMode("ou", kappa=0.5, c=3.0).time_constant(link) == 3.0
+        # A rate alone implies the c it was calibrated from.
+        kappa = calibrate_kappa(link, 10.0)
+        assert CorrelationMode("ou", kappa=kappa).time_constant(link) == pytest.approx(10.0)
+
+    def test_ladder_orders_correlation(self):
+        own = CorrelationMode("ou", kappa=0.5)
+        rungs = own.ladder()
+        assert [label for label, _ in rungs] == ["iid", "2kappa", "kappa", "kappa/2", "frozen"]
+        assert [corr.kappa for _, corr in rungs[1:4]] == [1.0, 0.5, 0.25]
+        assert rungs[2][1] is own
+        assert [label for label, _ in CorrelationMode("frozen").ladder()] == ["iid", "frozen"]
 
     def test_build_model_end_to_end(self):
         cfg = RunConfig(SHIFTED_LOGNORMAL, x_min=0.5, mu=1.0, s=0.75, c=10.0, tau=2.0)

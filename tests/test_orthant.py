@@ -11,16 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from aoi_lab.errors import QuadratureError
-from aoi_lab.orthant import (
-    OuChain,
-    QuadratureSpec,
-    mvn_orthant_mc,
-    orthant_frozen,
-    orthant_iid,
-    ou_covariance,
-    ou_orthant,
-    std_normal_tail,
-)
+from aoi_lab.orthant import OuChain, QuadratureSpec, ou_orthant, std_normal_tail
+from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
 
 # Reference joint tails computed independently by conditioning on the
 # middle coordinate(s), under which the outer coordinates of an AR(1)

@@ -74,6 +74,12 @@ class TestDriverModes:
         rho_hat = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
         assert abs(rho_hat) < 0.01
 
+    def test_iid_driver_is_the_raw_draw(self):
+        # At rho = 0 the AR(1) recursion returns the standard normal draws
+        # bit for bit.
+        z = sample_driver(make_model("iid"), 30, rng(6), n_paths=1000)
+        assert z.tobytes() == rng(6).standard_normal((1000, 30)).tobytes()
+
     def test_delay_paths_respect_left_endpoint(self):
         model = make_model()
         delays = g_apply(model.link, sample_driver(model, 11, rng(5), n_paths=100))
