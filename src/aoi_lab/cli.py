@@ -33,7 +33,7 @@ from .links import (
     lag_covariance,
     marginal_moments,
 )
-from .orthant import QuadratureSpec
+from .orthant import QuadratureSpec, nodes_per_stage
 from .outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
@@ -300,13 +300,27 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-def _meta(cfg: RunConfig, command: str, started: float, extra: dict | None = None) -> dict:
+def _meta(
+    cfg: RunConfig,
+    command: str,
+    started: float,
+    extra: dict | None = None,
+    model: DelayModel | None = None,
+) -> dict:
+    """The run's meta.json record.  Given the model whose chains the command
+    ran, quadrature.nodes_per_stage is the node count of a full-span stage
+    at its rho (null where a closed form runs no chain)."""
+    quadrature = {"m": cfg.quad_m, "L": cfg.quad_l}
+    if model is not None:
+        quadrature["nodes_per_stage"] = nodes_per_stage(
+            model.step_correlation(), cfg.quadrature()
+        )
     meta = {
         "command": command,
         "config": cfg.to_dict(),
         "engine_version": __version__,
         "seed": cfg.seed,
-        "quadrature": {"m": cfg.quad_m, "L": cfg.quad_l},
+        "quadrature": quadrature,
         "wall_time_s": time.time() - started,
     }
     if extra:
@@ -374,7 +388,7 @@ def cmd_exact(cfg: RunConfig) -> int:
     write_heatmap_csv(hm, os.path.join(out, "heatmap.csv"))
     write_timeavg_csv(x_values, avg, os.path.join(out, "timeavg.csv"))
     write_percentiles_csv([_percentile_row(cfg, model, pct)], os.path.join(out, "percentiles.csv"))
-    write_meta_json(_meta(cfg, "exact", started), os.path.join(out, "meta.json"))
+    write_meta_json(_meta(cfg, "exact", started, model=model), os.path.join(out, "meta.json"))
     return EXIT_OK
 
 
@@ -450,7 +464,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     print(json.dumps(report, indent=2))
     os.makedirs(cfg.out, exist_ok=True)
     write_meta_json(report, os.path.join(cfg.out, "compare_report.json"))
-    write_meta_json(_meta(cfg, "compare", started), os.path.join(cfg.out, "meta.json"))
+    write_meta_json(
+        _meta(cfg, "compare", started, model=model), os.path.join(cfg.out, "meta.json")
+    )
     return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 

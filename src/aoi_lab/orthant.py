@@ -32,10 +32,14 @@ _TINY_PROB = 1e-300
 _PANEL_ORDER = 20
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
-# OuChain's stage rule: nodes per kernel width, the node budget of a stage
-# (rho ~ 1 - 1e-9 at L = 8), the kernel band half-width in sd (pdf(9)/pdf(0)
-# = 2.6e-18), and the span of one block of targets in sd.
+# OuChain's stage rule: nodes per kernel width that resolve the kernel
+# (a floor no m overrides), nodes per width that reach full accuracy, the
+# fewest nodes of a stage, the node budget of a stage (rho ~ 1 - 1e-9 at
+# L = 8), the kernel band half-width in sd (pdf(9)/pdf(0) = 2.6e-18), and
+# the span of one block of targets in sd.
 _NODES_PER_WIDTH = 2.0
+_ACCURATE_PER_WIDTH = 3.0
+_MIN_STAGE_NODES = 2 * _PANEL_ORDER
 _MAX_STAGE_NODES = 1 << 19
 _BAND = 9.0
 _BLOCK_SPAN = 64.0
@@ -62,9 +66,11 @@ def _std_normal_pdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class QuadratureSpec:
     """Discretization controls for the stagewise tail recursion.
 
-    m is the fewest nodes per stage (OuChain adds nodes for narrow
-    kernels), laid out in Gauss-Legendre panels of _PANEL_ORDER nodes; L
-    is the truncation half-width in standard-normal units.
+    m caps the nodes per stage, laid out in Gauss-Legendre panels of
+    _PANEL_ORDER nodes.  OuChain sizes each stage from its kernel, and
+    the 2 nodes per kernel width that resolve a narrow kernel override the
+    cap; an m above the count of OuChain's accuracy rule changes nothing.
+    L is the truncation half-width in standard-normal units.
     """
 
     m: int = 400
@@ -96,9 +102,12 @@ class OuChain:
     clamped to -L and contribute a factor that integrates to 1.
 
     Every stage, at every rho, takes the Nystrom update of _propagate.  In
-    the previous state u its kernel has width sd/rho, so a stage grid gets
-    _NODES_PER_WIDTH nodes per width where spec.m nodes are too few.  A
-    stage past _MAX_STAGE_NODES raises QuadratureError.
+    the previous state u its kernel has width sd/rho, and a stage grid
+    gets the nodes its accuracy needs, read off that width:
+    _ACCURATE_PER_WIDTH per width, at least _MIN_STAGE_NODES, capped at
+    spec.m.  The _NODES_PER_WIDTH nodes per width that resolve the kernel
+    override the cap, and an m above the accuracy rule's count changes
+    nothing.  A stage past _MAX_STAGE_NODES raises QuadratureError.
     """
 
     def __init__(self, rho: float, spec: QuadratureSpec | None = None):
@@ -158,20 +167,27 @@ class OuChain:
         self._lo = lo_new
         return self.prob
 
-    def _grid(self, breaks: Sequence[float]):
-        """Panels over breaks for n = max(m, _NODES_PER_WIDTH nodes per
-        kernel width) nodes: the panel width is h = span*_PANEL_ORDER/n,
-        and each segment between breaks is cut into ceil(length/h) equal
-        panels, so a segment thinner than h gets one panel."""
-        breaks = np.asarray(breaks, dtype=float)
-        span = breaks[-1] - breaks[0]
-        n = math.ceil(_NODES_PER_WIDTH * span * self.rho / self.sd)
+    def _stage_nodes(self, span: float) -> int:
+        """Nodes of a stage grid span wide, in w = span*rho/sd kernel
+        widths: max(2w, min(m, max(3w, _MIN_STAGE_NODES)))."""
+        widths = span * self.rho / self.sd
+        n = math.ceil(_NODES_PER_WIDTH * widths)
         if n > _MAX_STAGE_NODES:
             raise QuadratureError(
                 f"rho={self.rho!r} needs {n} nodes per stage, over the budget of "
                 f"{_MAX_STAGE_NODES}; use correlation.mode: frozen for this limit"
             )
-        h = span * _PANEL_ORDER / max(n, self.spec.m)
+        accurate = max(math.ceil(_ACCURATE_PER_WIDTH * widths), _MIN_STAGE_NODES)
+        return max(n, min(self.spec.m, accurate))
+
+    def _grid(self, breaks: Sequence[float]):
+        """Panels over breaks for n = _stage_nodes(span) nodes: the panel
+        width is h = span*_PANEL_ORDER/n, and each segment between breaks
+        is cut into ceil(length/h) equal panels, so a segment thinner than
+        h gets one panel."""
+        breaks = np.asarray(breaks, dtype=float)
+        span = breaks[-1] - breaks[0]
+        h = span * _PANEL_ORDER / self._stage_nodes(span)
         counts = np.ceil(np.diff(breaks) / h).astype(int)
         edges = [np.linspace(lo, hi, k, endpoint=False)
                  for lo, hi, k in zip(breaks[:-1], breaks[1:], counts)]
@@ -206,6 +222,15 @@ class OuChain:
             k /= sd
             raw[i0:i1] = k @ mass[j0:j1]
         return raw
+
+
+def nodes_per_stage(rho: float, spec: QuadratureSpec | None = None) -> int | None:
+    """Nodes of OuChain's full-span stage [-L, L] at rho; None at rho 0 or
+    1, whose closed forms run no chain."""
+    if rho in (0.0, 1.0):
+        return None
+    chain = OuChain(rho, spec)
+    return chain._grid([-chain.spec.L, chain.spec.L])[0].size
 
 
 def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:

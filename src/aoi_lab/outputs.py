@@ -407,17 +407,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# Every number of the CSV files: 12 significant digits, and inf, -inf and
+# nan by name.
+_FMT = "%.12g"
+
+
 def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.12g}"
+    return _FMT % v
 
 
 def _write_table(path: str, header: str, *columns) -> None:
     """CSV of a header line and one row per entry of the equally sized
     columns, each read in C order."""
-    cells = [map(_fmt, np.ravel(c).tolist()) for c in columns]
-    _atomic_write(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    row = ",".join([_FMT] * len(columns))
+    lines = [row % cells for cells in zip(*(np.ravel(c).tolist() for c in columns))]
+    _atomic_write(path, "\n".join([header, *lines]) + "\n")
 
 
 def write_ccdf_csv(grid: CcdfGrid, path: str, stderr: np.ndarray | None = None) -> None:

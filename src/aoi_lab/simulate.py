@@ -77,13 +77,16 @@ def sample_driver(
     if rho == 1.0:
         z0 = rng.standard_normal((n_paths, 1))
         return np.broadcast_to(z0, (n_paths, n)).copy()
-    xi = rng.standard_normal((n_paths, n))
+    # The recursion runs in place down the rows of the draw's contiguous
+    # transpose, one packet per row; the result is that array's transpose.
+    z = rng.standard_normal((n_paths, n)).T.copy()
     noise_scale = math.sqrt(1.0 - rho * rho)
-    z = np.empty_like(xi)
-    z[:, 0] = xi[:, 0]
+    prev = np.empty(n_paths)
     for i in range(1, n):
-        z[:, i] = rho * z[:, i - 1] + noise_scale * xi[:, i]
-    return z
+        np.multiply(z[i - 1], rho, out=prev)
+        z[i] *= noise_scale
+        z[i] += prev
+    return z.T
 
 
 def _n_packets(config: SimConfig) -> int:

@@ -196,6 +196,19 @@ class TestCommands:
             json.load(open(config_path)) | {"out": str(out)}
         )
 
+    @pytest.mark.parametrize("c,nodes", [("10", 100), ("0", None), ("inf", None)])
+    def test_meta_records_nodes_per_stage(self, config_path, tmp_path, c, nodes):
+        # At README's rho = 0.8746 a full-span stage [-8, 8] spans 28.9
+        # kernel widths: 87 nodes, 5 panels.  The closed forms of rho 0 and
+        # 1 run no chain.
+        for threads in (1, 2, 4):
+            out = tmp_path / f"t{threads}"
+            assert main(["exact", "--config", config_path, "--out", str(out),
+                         "--threads", str(threads),
+                         "--set", f"correlation.c={c}"]) == EXIT_OK
+            meta = json.loads((out / "meta.json").read_text())
+            assert meta["quadrature"] == {"m": 400, "L": 8.0, "nodes_per_stage": nodes}
+
     def test_simulate_is_deterministic(self, config_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         for out in (out1, out2):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from aoi_lab import outputs
+from aoi_lab.cli import RunConfig
 from aoi_lab.errors import QuadratureError
 from aoi_lab.orthant import OuChain, QuadratureSpec, ou_orthant, std_normal_tail
 from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
@@ -154,6 +156,14 @@ class AllocatingChain(OuChain):
         return k @ (self._weights * self._density)
 
 
+class FloorChain(OuChain):
+    """OuChain under the stage rule in which spec.m is a floor, max(m, 2
+    nodes per kernel width): the dense reference at large m."""
+
+    def _stage_nodes(self, span):
+        return max(self.spec.m, math.ceil(2.0 * span * self.rho / self.sd))
+
+
 class TestStageUpdate:
     @pytest.mark.parametrize("rho,m", [(0.5, 64), (0.5, 400), (0.99, 256), (0.999, 256)])
     def test_matches_allocating_update_bit_for_bit(self, rho, m):
@@ -181,10 +191,11 @@ class TestStageUpdate:
         assert chain.prob > 0.0
 
     def test_stages_allocate_no_kernel(self):
-        # At m = 400 one kernel is an m x m float array (1.28 MB).  Once the
-        # work array exists, further stages allocate only node vectors.
+        # Under the floor rule at m = 400 one kernel is an m x m float array
+        # (1.28 MB).  Once the work array exists, further stages allocate
+        # only node vectors.
         m = 400
-        chain = OuChain(0.5, QuadratureSpec(m=m))
+        chain = FloorChain(0.5, QuadratureSpec(m=m))
         chain.extend(0.0)
         chain.extend(0.0)
         tracemalloc.start()
@@ -203,21 +214,63 @@ class TestStageGrid:
         "rho,m", [(0.5, 16), (0.5, 64), (0.875, 400), (0.999, 256), (1 - 1e-6, 400)]
     )
     def test_panels_cover_each_segment(self, rho, m):
-        # Each segment between breaks is cut into equal 20-node panels, at
-        # least max(m, 2 per kernel width) nodes in all; a segment 1e-6
-        # wide, beside the edge of a threshold, gets one panel.
+        # Each segment between breaks is cut into equal 20-node panels of
+        # width h = span*20/n, n = max(2w, min(m, max(3w, 40))) for a span
+        # of w kernel widths; a segment 1e-6 wide, beside the edge of a
+        # threshold, gets one panel.
         chain = OuChain(rho, QuadratureSpec(m=m))
         for breaks in ([-8.0, 8.0], [-1.3, 0.4, 8.0], [0.7, 0.7 + 1e-6, 8.0],
                        [-0.2, 8.0 - 1e-6, 8.0]):
             nodes, weights = chain._grid(breaks)
-            kernel = math.ceil(2.0 * (breaks[-1] - breaks[0]) * rho / chain.sd)
-            assert nodes.size >= max(m, kernel) and nodes.size % 20 == 0
+            span = breaks[-1] - breaks[0]
+            widths = span * rho / chain.sd
+            n = max(math.ceil(2 * widths), min(m, max(math.ceil(3 * widths), 40)))
+            h = span * 20 / n
+            segments = list(zip(breaks[:-1], breaks[1:]))
+            assert nodes.size == 20 * sum(math.ceil((hi - lo) / h) for lo, hi in segments)
             assert np.all(np.diff(nodes) > 0)
-            for lo, hi in zip(breaks[:-1], breaks[1:]):
+            for lo, hi in segments:
                 inside = (nodes > lo) & (nodes < hi)
                 assert abs(weights[inside].sum() - (hi - lo)) <= 1e-13
                 if hi - lo == pytest.approx(1e-6):
                     assert inside.sum() == 20
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.1, 0.5, 0.8746, 0.967, 0.993, 0.999, 1 - 1e-6])
+    def test_m_caps_the_floor_rule(self, rho):
+        # No stage gets more nodes than max(m, 2 per kernel width), and the
+        # grid is the floor rule's, bit for bit, when m <= max(3w, 40).
+        for m in (16, 40, 64, 100, 256, 400, 1600):
+            spec = QuadratureSpec(m=m)
+            chain, floor = OuChain(rho, spec), FloorChain(rho, spec)
+            for span in (1e-6, 0.5, 4.0, 16.0):
+                widths = span * rho / chain.sd
+                n = chain._stage_nodes(span)
+                assert n <= max(m, math.ceil(2 * widths))
+                if m <= max(3 * widths, 40):
+                    assert n == max(m, math.ceil(2 * widths))
+                    for got, ref in zip(chain._grid([8.0 - span, 8.0]),
+                                        floor._grid([8.0 - span, 8.0])):
+                        assert got.tobytes() == ref.tobytes()
+
+
+class TestStageRuleAccuracy:
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("link", ["shifted-lognormal", "censored-normal"])
+    def test_profiles_match_dense_floor_rule(self, monkeypatch, link, c, tau):
+        # rho from 8e-8 to 0.993, 7 phases each: the default spec's profiles
+        # meet the floor rule's at m = 1600 (at least 1600 nodes per stage).
+        model = RunConfig.from_dict({
+            "link": {"kind": link, "x_min": 0.5, "mu": 1.0, "s": 0.75},
+            "correlation": {"mode": "ou", "c": c},
+            "tau": tau,
+        }).model()
+        phases = tau * (np.arange(7) + 0.5) / 7
+        got = [outputs.ccdf_profile(model, phi, 4, QuadratureSpec()) for phi in phases]
+        monkeypatch.setattr(outputs, "OuChain", FloorChain)
+        for phi, q in zip(phases, got):
+            ref = outputs.ccdf_profile(model, phi, 4, QuadratureSpec(m=1600))
+            assert np.max(np.abs(q - ref)) <= 1e-14
 
 
 class TestNarrowKernels:
@@ -226,11 +279,12 @@ class TestNarrowKernels:
     @pytest.mark.parametrize("rho", [0.967, 0.993, 0.999])
     def test_sorted_thresholds_match_dense_reference(self, rho):
         # Kernel widths sd/rho from 0.26 down to 0.045: at m = 256 and
-        # 400 the stage grids of rho 0.999 are sized from the kernel.
+        # 400 the stage grids of rho 0.999 are sized from the kernel.  The
+        # reference takes at least 1600 nodes per stage.
         def profile(chain):
             return np.array([chain.extend(a) for a in self.THRESHOLDS])
 
-        ref = profile(AllocatingChain(rho, QuadratureSpec(m=1600)))
+        ref = profile(FloorChain(rho, QuadratureSpec(m=1600)))
         for m in (256, 400):
             got = profile(OuChain(rho, QuadratureSpec(m=m)))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-11)

@@ -403,6 +403,12 @@ class TestSerialization:
         write_timeavg_csv([0.0], [1.0], str(path))
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    def test_infinities_keep_their_sign(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_timeavg_csv([math.inf, -math.inf], [-math.inf, 0.5], str(path))
+        assert path.read_text() == "x,ccdf_avg\ninf,-inf\n-inf,0.5\n"
+        assert outputs._fmt(-math.inf) == "-inf" and outputs._fmt(math.inf) == "inf"
+
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "t.csv"
         write_timeavg_csv([1 / 3], [2 / 3], str(path))

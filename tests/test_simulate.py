@@ -80,6 +80,20 @@ class TestDriverModes:
         z = sample_driver(make_model("iid"), 30, rng(6), n_paths=1000)
         assert z.tobytes() == rng(6).standard_normal((1000, 30)).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 6, 101])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8746])
+    def test_recursion_matches_column_loop_bit_for_bit(self, rho, n):
+        model = make_model("iid") if rho == 0.0 else make_model(kappa=-math.log(rho))
+        rho = model.step_correlation()
+        xi = rng(8).standard_normal((300, n))
+        ref = np.empty_like(xi)
+        ref[:, 0] = xi[:, 0]
+        for i in range(1, n):
+            ref[:, i] = rho * ref[:, i - 1] + math.sqrt(1.0 - rho * rho) * xi[:, i]
+        z = sample_driver(model, n, rng(8), n_paths=300)
+        assert z.shape == (300, n)
+        assert z.tobytes() == ref.tobytes()
+
     def test_delay_paths_respect_left_endpoint(self):
         model = make_model()
         delays = g_apply(model.link, sample_driver(model, 11, rng(5), n_paths=100))
