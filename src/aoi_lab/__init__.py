@@ -58,7 +58,18 @@ from .simulate import (
     sample_driver,
     simulate_empirical_ccdf,
 )
-from .cli import RunConfig
+
+
+def __getattr__(name):
+    # RunConfig is resolved on first use, so that importing the package
+    # does not import .cli: `python -m aoi_lab.cli` would then find the
+    # module already loaded and warn.
+    if name == "RunConfig":
+        from .cli import RunConfig
+
+        return RunConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -78,6 +78,27 @@ def block_length(x, phi, tau: float, k=None):
     return int(n) if n.ndim == 0 else n
 
 
+def _checked_paths(
+    delays, schedule: GenerationSchedule, t_grid: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """delays as a 2-D float array, one row per path, and t_grid as a float
+    array, once the delays are finite and non-negative, t_grid ascends and
+    the delays cover every packet generated by its last time."""
+    delays = np.atleast_2d(np.asarray(delays, dtype=float))
+    if np.any(delays < 0) or not np.all(np.isfinite(delays)):
+        raise ValueError("delays must be finite and non-negative")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size and np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be sorted ascending")
+    n_packets = delays.shape[1]
+    k_max = decompose_time(float(t_grid[-1]), schedule.tau).k if t_grid.size else -1
+    if k_max >= n_packets:
+        raise ValueError(
+            f"delays cover {n_packets} packets but the horizon needs {k_max + 1}"
+        )
+    return delays, t_grid
+
+
 def aoi_path_matrix(
     delays: np.ndarray,
     schedule: GenerationSchedule,
@@ -89,19 +110,9 @@ def aoi_path_matrix(
     (n_paths, len(t_grid)) with +inf where no packet has arrived yet.
     Arrival ties (arrival time exactly t) count as arrived.
     """
-    delays = np.atleast_2d(np.asarray(delays, dtype=float))
-    if np.any(delays < 0) or not np.all(np.isfinite(delays)):
-        raise ValueError("delays must be finite and non-negative")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be sorted ascending")
+    delays, t_grid = _checked_paths(delays, schedule, t_grid)
     tau = schedule.tau
     n_packets = delays.shape[1]
-    k_max = decompose_time(float(t_grid[-1]), tau).k if t_grid.size else -1
-    if k_max >= n_packets:
-        raise ValueError(
-            f"delays cover {n_packets} packets but the horizon needs {k_max + 1}"
-        )
     beta = np.arange(n_packets) * tau + delays
     ages = np.empty((delays.shape[0], t_grid.size))
     for j, t in enumerate(t_grid):
@@ -111,6 +122,58 @@ def aoi_path_matrix(
         latest = k - np.argmax(arrived[:, ::-1], axis=1)
         ages[:, j] = np.where(any_arrived, t - latest * tau, np.inf)
     return ages
+
+
+def exceedance_counts(
+    delays: np.ndarray,
+    schedule: GenerationSchedule,
+    t_grid: Sequence[float],
+    x_grid: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per observation time, the number of paths whose age exceeds each x,
+    shape (len(t_grid), len(x_grid)), and the number of infinite ages,
+    shape (len(t_grid),): the column sums of aoi_path_matrix's ages > x and
+    of its infinite ages, without building the ages.
+
+    delays and the checks are aoi_path_matrix's.  The age at t is t - L*tau
+    for the newest arrived packet L, so it takes one of a few lattice
+    values: the counts are read off the arrival lattice.  With s_i the
+    least arrival time of packets i and later, s_i is non-decreasing in i
+    and L = #{i : s_i <= t} - 1.  So C[i, j] = #{paths : s_i <= t_j} gives
+    C[L, j] - C[L + 1, j] paths of age t_j - L*tau, and the paths counted
+    above x are those of the lattice ages above x.  The infinite ages
+    exceed every x but +inf.  Memory is one copy of delays.
+    """
+    delays, t_grid = _checked_paths(delays, schedule, t_grid)
+    x_grid = np.asarray(x_grid, dtype=float)
+    tau = schedule.tau
+    n_paths, n_packets = delays.shape
+    gen = np.arange(n_packets) * tau
+    # Packet i counts at t only once decompose_time puts i among the packets
+    # generated by t, as in aoi_path_matrix.  Far out, i*tau can round to at
+    # or below a t that decompose_time puts in slot i - 1; so the arrival
+    # moves up to the first grid time that has generated the packet.
+    k = np.array([decompose_time(float(t), tau).k for t in t_grid], dtype=int)
+    first = np.searchsorted(k, np.arange(n_packets))
+    generated = np.append(t_grid, np.inf)[first]
+    # One row per packet, so the suffix minimum runs down contiguous rows.
+    s = np.empty((n_packets, n_paths))
+    np.add(gen[:, None], delays.T, out=s)
+    np.maximum(s, generated[:, None], out=s)
+    for i in range(n_packets - 2, -1, -1):
+        np.minimum(s[i], s[i + 1], out=s[i])
+    arrived = np.zeros((n_packets + 1, t_grid.size), dtype=np.int64)
+    hit = np.empty(n_paths, dtype=bool)
+    for i, row in enumerate(s):
+        for j in range(first[i], t_grid.size):
+            arrived[i, j] = np.count_nonzero(np.less_equal(row, t_grid[j], out=hit))
+    n_infinite = n_paths - arrived[0]
+    above = np.outer(n_infinite, x_grid < np.inf)
+    for j, t in enumerate(t_grid):
+        # The lattice ages t - L*tau in ascending order; n_above exceed x.
+        n_above = n_packets - np.searchsorted(t - gen[::-1], x_grid, side="right")
+        above[j] += arrived[0, j] - arrived[n_above, j]
+    return above, n_infinite
 
 
 @dataclass

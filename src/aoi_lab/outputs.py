@@ -22,6 +22,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -424,17 +425,27 @@ def _write_table(path: str, header: str, *columns) -> None:
     _atomic_write(path, "\n".join([header, *lines]) + "\n")
 
 
+def _write_grid(path: str, header: str, t_values, x_values, *cells) -> None:
+    """CSV of a header line and one row per (t, x) pair, t-major, then the
+    pair's entry of each (t, x)-shaped cell array.  Each t and each x is
+    formatted once."""
+    ts = [_fmt(t) for t in np.ravel(t_values).tolist()]
+    xs = [_fmt(x) for x in np.ravel(x_values).tolist()]
+    row = ",".join([_FMT] * len(cells))
+    values = zip(*(np.ravel(c).tolist() for c in cells))
+    lines = [f"{t},{x},{row % v}" for (t, x), v in zip(product(ts, xs), values)]
+    _atomic_write(path, "\n".join([header, *lines]) + "\n")
+
+
 def write_ccdf_csv(grid: CcdfGrid, path: str, stderr: np.ndarray | None = None) -> None:
-    t, x = np.meshgrid(grid.t_values, grid.x_values, indexing="ij")
     if stderr is None:
-        _write_table(path, "t,x,ccdf", t, x, grid.p)
+        _write_grid(path, "t,x,ccdf", grid.t_values, grid.x_values, grid.p)
     else:
-        _write_table(path, "t,x,ccdf,stderr", t, x, grid.p, stderr)
+        _write_grid(path, "t,x,ccdf,stderr", grid.t_values, grid.x_values, grid.p, stderr)
 
 
 def write_heatmap_csv(hm: HeatmapGrid, path: str) -> None:
-    t, x = np.meshgrid(hm.t_values, hm.x_values, indexing="ij")
-    _write_table(path, "t,x,pmf", t, x, hm.mass)
+    _write_grid(path, "t,x,pmf", hm.t_values, hm.x_values, hm.mass)
 
 
 def write_timeavg_csv(x_values: Sequence[float], values: Sequence[float], path: str) -> None:

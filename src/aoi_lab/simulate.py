@@ -3,12 +3,14 @@
 The Gaussian driver is sampled exactly on the generation grid (the OU
 one-step transition is available in closed form, so there is no
 time-discretization error), mapped through the link function, and turned
-into age sample paths.  The empirical CCDF grid used to cross-validate the
-exact engine counts, per observation time, the sorted ages above each x,
-streaming over chunks of paths drawn from one Philox generator seeded with
-the configured seed, so its memory does not grow with the number of paths.
-The same draw yields the ages of its first paths on request; that is what
-the CLI saves as paths.csv.
+into arrival times.  The empirical CCDF grid used to cross-validate the
+exact engine counts, per observation time, the paths whose age exceeds
+each x.  The age at t is t - L*tau for the newest arrived packet L, so the
+counts are read off the arrival lattice (core.exceedance_counts) without
+building per-path ages.  The counts stream over chunks of paths drawn from
+one Philox generator seeded with the configured seed, so memory does not
+grow with the number of paths.  The same draw yields the ages of its first
+paths on request; that is what the CLI saves as paths.csv.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import CcdfGrid, aoi_path_matrix
+from .core import CcdfGrid, aoi_path_matrix, exceedance_counts
 from .links import DelayModel, g_apply
 
 # Paths simulated at once by simulate_empirical_ccdf.  Memory is
@@ -74,11 +76,12 @@ def sample_driver(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rho = model.step_correlation()
+    # One packet per row of a contiguous array; the result is its transpose.
     if rho == 1.0:
-        z0 = rng.standard_normal((n_paths, 1))
-        return np.broadcast_to(z0, (n_paths, n)).copy()
-    # The recursion runs in place down the rows of the draw's contiguous
-    # transpose, one packet per row; the result is that array's transpose.
+        z = np.empty((n, n_paths))
+        z[:] = rng.standard_normal(n_paths)
+        return z.T
+    # The recursion runs in place down the rows of the draw's transpose.
     z = rng.standard_normal((n_paths, n)).T.copy()
     noise_scale = math.sqrt(1.0 - rho * rho)
     prev = np.empty(n_paths)
@@ -102,28 +105,27 @@ def _chunk_counts(
     saved: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """For size fresh paths: per observation time, the number of ages above
-    each x and the number of infinite ages.  The leading rows of the chunk's
-    ages are copied into saved, as many as it holds; the chunk's arrays are
-    freed on return, before the next chunk is drawn."""
+    each x and the number of infinite ages.  Ages are built only for the
+    leading paths that saved holds; the chunk's arrays are freed on return,
+    before the next chunk is drawn."""
     model = config.model
-    z = sample_driver(model, _n_packets(config), rng, size)
-    ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, config.t_grid)
-    saved[:] = ages[: len(saved)]
-    by_time = np.sort(ages.T, axis=1)
-    above = [size - np.searchsorted(a, x_grid, side="right") for a in by_time]
-    return np.array(above, dtype=np.int64), np.isinf(by_time).sum(axis=1)
+    delays = g_apply(model.link, sample_driver(model, _n_packets(config), rng, size))
+    if len(saved):
+        saved[:] = aoi_path_matrix(delays[: len(saved)], model.schedule, config.t_grid)
+    return exceedance_counts(delays, model.schedule, config.t_grid, x_grid)
 
 
 def simulate_empirical_ccdf(config: SimConfig, n_saved: int = 0) -> EmpiricalCcdf:
     """Empirical Pr(A_t > x) over the configured grid, and the ages of the
     first n_saved paths of the same draw.
 
-    Each chunk of paths adds, per observation time, the number of its ages
-    above each x: the sorted ages past a searchsorted(side="right") index,
-    so ages on the lattice that equal x do not count.  Infinite ages (no
-    packet arrived yet) sort last, exceed every finite threshold and are
-    additionally counted per observation time.  The counts are exact
-    integers, so p equals the mean of the per-path indicators bit for bit.
+    Each chunk of paths adds, per observation time, the number of its
+    paths whose age exceeds each x, counted from the arrival lattice: the
+    paths whose newest arrival is packet L have age t - L*tau, and an age
+    equal to x does not count.  Paths with no arrival yet have infinite age,
+    exceed every finite threshold and are additionally counted per
+    observation time.  The counts are exact integers, so p equals the mean
+    of the per-path indicators bit for bit.
     """
     if not 0 <= n_saved <= config.n_paths:
         raise ValueError(f"n_saved must lie in [0, {config.n_paths}], got {n_saved}")

@@ -41,6 +41,7 @@ def test_every_exported_name_resolves():
         (orthant.OuChain, "extend"),
         (simulate, "sample_driver"),
         (simulate, "aoi_path_matrix"),
+        (simulate, "exceedance_counts"),
         (core, "GenerationSchedule"),
         (links, "CalibrationTarget"),
         (links, "CorrelationMode"),
@@ -161,3 +162,35 @@ def test_package_runs_as_a_module(tmp_path):
     )
     assert run.returncode == cli.EXIT_OK, run.stderr
     assert (out / "ccdf.csv").read_text().startswith("t,x,ccdf\n")
+
+
+def test_cli_module_runs_without_warning(tmp_path):
+    # python -m aoi_lab.cli on README's config as shipped: importing the
+    # package leaves .cli unloaded, so runpy has nothing to warn about.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.json"
+    config.write_text(block)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "aoi_lab.cli", "exact", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == cli.EXIT_OK
+    assert run.stderr == ""
+    assert (tmp_path / "out" / "ccdf.csv").exists()
+
+
+def test_run_config_resolves_lazily():
+    code = (
+        "import sys\n"
+        "import aoi_lab\n"
+        "loaded = 'aoi_lab.cli' in sys.modules\n"
+        "from aoi_lab import RunConfig\n"
+        "print(loaded, RunConfig is sys.modules['aoi_lab.cli'].RunConfig)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

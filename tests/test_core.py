@@ -14,6 +14,7 @@ from aoi_lab.core import (
     aoi_path_matrix,
     block_length,
     decompose_time,
+    exceedance_counts,
 )
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -21,9 +22,11 @@ from aoi_lab.links import (
     CorrelationMode,
     DelayModel,
     LinkFunction,
+    g_apply,
 )
 from aoi_lab.orthant import QuadratureSpec
 from aoi_lab.outputs import aoi_support, exact_ccdf_grid
+from aoi_lab.simulate import sample_driver
 
 
 def aoi_path(delays, schedule, t_grid):
@@ -220,6 +223,117 @@ class TestAoiPaths:
     def test_rejects_negative_delays(self):
         with pytest.raises(ValueError):
             aoi_path([-0.1, 0.2], GenerationSchedule(1.0), [0.5])
+
+
+class TestExceedanceCounts:
+    """Counts read off the arrival lattice against the dense ages."""
+
+    # t = 0, a repeated t, and generation instants of every tau below;
+    # 0.3 and 0.7 lie a rounding error off 3*0.1 and 7*0.1.
+    T_GRID = [0.0, 0.25, 0.3, 0.7, 1.0, 1.0, 2.0, 2.3, 4.0, 5.5, 6.0]
+
+    def check(self, delays, schedule, t_grid, x_grid):
+        # The oracle: column sums of the dense ages above each x, and of
+        # the infinite ages.
+        ages = aoi_path_matrix(delays, schedule, t_grid)
+        above, infinite = exceedance_counts(delays, schedule, t_grid, x_grid)
+        assert above.dtype == infinite.dtype == np.int64
+        assert np.array_equal(above, (ages[:, :, None] > np.asarray(x_grid)).sum(axis=0))
+        assert np.array_equal(infinite, np.isinf(ages).sum(axis=0))
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            gaussian_model("iid"),
+            gaussian_model("ou"),
+            gaussian_model("frozen"),
+            # Zero delays put arrivals exactly on the generation instants.
+            gaussian_model("ou", x_min=0.0, mu_hat=0.2, s_hat=1.0, link_kind=CENSORED_NORMAL),
+        ],
+        ids=["iid", "ou", "frozen", "censored-zero"],
+    )
+    def test_equals_dense_ages(self, model, tau):
+        schedule = GenerationSchedule(tau)
+        n_packets = decompose_time(self.T_GRID[-1], tau).k + 2
+        rng = np.random.Generator(np.random.Philox(5))
+        delays = g_apply(model.link, sample_driver(model, n_packets, rng, 3000))
+        ages = aoi_path_matrix(delays, schedule, self.T_GRID)
+        # A negative x, ages on the lattice (ties), a huge x and +inf.
+        lattice = np.unique(ages[np.isfinite(ages)])
+        x_grid = np.concatenate(([-1.0, 0.0], lattice[:: max(1, lattice.size // 12)], [1e9, np.inf]))
+        assert np.isin(ages, x_grid).any()
+        self.check(delays, schedule, self.T_GRID, x_grid)
+        # The same counts from a C-ordered copy, and from one path.
+        self.check(np.ascontiguousarray(delays), schedule, self.T_GRID, x_grid)
+        self.check(delays[0], schedule, self.T_GRID, x_grid)
+
+    def test_plus_infinity_counts_no_path(self):
+        # Every path is still waiting at t = 1, so every age is infinite; x
+        # = +inf is exceeded by none of them, 1e9 by all.
+        above, infinite = exceedance_counts(
+            np.full((4, 2), 5.0), GenerationSchedule(1.0), [1.0], [1e9, np.inf]
+        )
+        assert above.tolist() == [[4, 0]] and infinite.tolist() == [4]
+
+    def test_ties_arrive_and_do_not_exceed(self):
+        # Packet 1 arrives exactly at t = 3 (age 2 = x, not above x); packet
+        # 3, generated at t, arrives at once on the second path (age 0).
+        delays = np.array([[0.0, 2.0, 5.0, 5.0], [0.0, 5.0, 5.0, 0.0]])
+        above, infinite = exceedance_counts(delays, GenerationSchedule(1.0), [3.0], [0.0, 2.0])
+        assert above.tolist() == [[1, 0]] and infinite.tolist() == [0]
+        self.check(delays, GenerationSchedule(1.0), [3.0], [0.0, 2.0])
+
+    def test_generation_instant_rounded_below_t(self):
+        # At packet 4884 the generation instant (k + 1)*tau rounds to at or
+        # below t, and decompose_time still puts t in slot k: that packet
+        # has not been generated at t, even when it arrives at once.
+        tau, t = 0.0539955720645343, 263.7143739631855
+        k = decompose_time(t, tau).k
+        assert (k + 1) * tau <= t
+        delays = np.ones((3, k + 2))
+        delays[0] = 0.0
+        delays[1, k + 1] = 0.0
+        self.check(delays, GenerationSchedule(tau), [t], [-1.0, 0.0, 0.05, 1.0, np.inf])
+
+    @given(
+        delays=st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.7, 9.0]), min_size=7, max_size=7),
+            min_size=1,
+            max_size=6,
+        ),
+        t_grid=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0]), min_size=1, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dense_ages_on_ties(self, delays, t_grid):
+        # Delays, times and thresholds all on one half-unit lattice.
+        x_grid = np.arange(-1.0, 7.5, 0.5)
+        self.check(np.array(delays), GenerationSchedule(1.0), sorted(t_grid), x_grid)
+
+    def test_empty_grids(self):
+        above, infinite = exceedance_counts(np.ones((3, 2)), GenerationSchedule(1.0), [], [1.0])
+        assert above.shape == (0, 1) and infinite.shape == (0,)
+        above, _ = exceedance_counts(np.ones((3, 2)), GenerationSchedule(1.0), [1.0], [])
+        assert above.shape == (1, 0)
+
+    @pytest.mark.parametrize(
+        "delays,t_grid",
+        [
+            ([[-0.1, 0.2]], [0.5]),
+            ([[np.nan, 0.2]], [0.5]),
+            ([[np.inf, 0.2]], [0.5]),
+            ([[0.1, 0.2]], [1.5, 0.5]),
+            ([[0.1]], [5.0]),
+        ],
+        ids=["negative", "nan", "inf", "unsorted-t", "short"],
+    )
+    def test_rejects_what_the_path_matrix_rejects(self, delays, t_grid):
+        schedule = GenerationSchedule(1.0)
+        with pytest.raises(ValueError) as dense:
+            aoi_path_matrix(delays, schedule, t_grid)
+        with pytest.raises(ValueError) as counted:
+            exceedance_counts(delays, schedule, t_grid, [1.0])
+        assert str(counted.value) == str(dense.value)
 
 
 class TestAoiSupport:

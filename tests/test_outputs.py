@@ -372,6 +372,31 @@ class TestSerialization:
         write_heatmap_csv(heatmap(grid, 0.5), str(path))
         assert path.read_text().startswith("t,x,pmf\n")
 
+    @pytest.mark.parametrize("writer", ["ccdf", "ccdf+stderr", "heatmap"])
+    def test_grid_rows_are_per_cell_formats(self, tmp_path, writer):
+        # Each t and x is formatted once; the rows are those of formatting
+        # every cell's numbers together.
+        values = np.array([math.inf, -math.inf, math.nan, 0.0, 1e-300, 1 / 3])
+        t, x = values, values[::-1].copy()
+        p = np.resize([0.0, 1e-300, math.nan, 1 / 3, 1.0], (t.size, x.size))
+        cells = np.resize(values[1:], (t.size, x.size))
+        path = tmp_path / "grid.csv"
+        if writer == "heatmap":
+            write_heatmap_csv(outputs.HeatmapGrid(t, x, cells, 0.5), str(path))
+            columns = (cells,)
+        else:
+            grid = outputs.CcdfGrid(t, x, p, "empirical")
+            stderr = cells if writer == "ccdf+stderr" else None
+            write_ccdf_csv(grid, str(path), stderr)
+            columns = (p,) if stderr is None else (p, cells)
+        row = ",".join(["%.12g"] * (2 + len(columns)))
+        expected = [
+            row % (t[i], x[j], *(c[i, j] for c in columns))
+            for i in range(t.size)
+            for j in range(x.size)
+        ]
+        assert path.read_text().split("\n")[1:] == [*expected, ""]
+
     def test_timeavg_csv_format(self, tmp_path):
         path = tmp_path / "timeavg.csv"
         write_timeavg_csv([0.0, 1.0], [1.0, 0.5], str(path))

@@ -9,6 +9,7 @@ import pytest
 from aoi_lab import simulate
 from aoi_lab.core import GenerationSchedule
 from aoi_lab.links import (
+    CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
     CorrelationMode,
     DelayModel,
@@ -141,8 +142,8 @@ class TestEmpiricalCcdf:
 
 
 class TestStreamedCcdf:
-    """Per-time sorted counts over path chunks against the dense mean of
-    the per-path indicators."""
+    """Lattice counts over path chunks against the dense mean of the
+    per-path indicators."""
 
     @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
     def test_chunked_driver_equals_one_draw(self, kind):
@@ -151,17 +152,25 @@ class TestStreamedCcdf:
         parts = [sample_driver(model, 7, stream, k) for k in (3, 5, 1, 4)]
         assert np.array_equal(np.vstack(parts), sample_driver(model, 7, rng(11), n_paths=13))
 
-    @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
-    def test_byte_identical_to_dense_indicator_mean(self, kind):
-        # A partial last chunk; x on the age lattice t - n*tau (ties), and
-        # 1e9, which only infinite ages exceed.
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("kind", ["iid", "ou", "frozen", "censored-zero"])
+    def test_byte_identical_to_dense_indicator_mean(self, monkeypatch, kind, tau):
+        # A partial last chunk; t = 0, a repeated t and generation instants;
+        # x negative, on the age lattice t - n*tau (ties), 1e9, which only
+        # infinite ages exceed, and +inf, which none does.  censored-zero
+        # delays are 0 with probability 0.42, so arrivals fall exactly on t.
+        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 1 << 12)
         n_paths = 2 * simulate._CHUNK_PATHS + 1
-        t_grid = [0.5, 2.5, 5.5]
-        x_grid = [0.0, 0.5, 1.0, 1.5, 2.25, 2.5, 4.5, 1e9]
-        model = make_model(kind)
+        t_grid = [0.0, 0.5, 2.0, 2.0, 2.5, 4.0, 5.5]
+        x_grid = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.5, 4.5, 1e9, math.inf]
+        if kind == "censored-zero":
+            link = LinkFunction(CENSORED_NORMAL, 0.0, 0.2, 1.0)
+            model = DelayModel(link, CorrelationMode("ou", kappa=0.25), GenerationSchedule(tau))
+        else:
+            model = make_model(kind, tau=tau)
         cfg = SimConfig(model, n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
         # The dense oracle: one draw of every path from the same seed.
-        z = sample_driver(model, 6, rng(13), n_paths)
+        z = sample_driver(model, simulate._n_packets(cfg), rng(13), n_paths)
         ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
         x = np.asarray(x_grid)
         assert np.isin(ages, x).any()
@@ -171,6 +180,15 @@ class TestStreamedCcdf:
         assert np.array_equal(emp.stderr, np.sqrt(p * (1.0 - p) / n_paths))
         assert np.array_equal(emp.n_infinite, np.isinf(ages).sum(axis=0))
         assert np.array_equal(emp.ages, ages)
+
+    def test_unsaved_paths_build_no_ages(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("per-path ages built")
+
+        monkeypatch.setattr(simulate, "aoi_path_matrix", dense)
+        cfg = SimConfig(make_model(), 5000, seed=2, t_grid=[0.5, 2.5, 5.5], x_grid=[1.0])
+        emp = simulate_empirical_ccdf(cfg)
+        assert emp.ages.shape == (0, 3)
 
     @pytest.mark.parametrize("n_saved", [0, 3, 4, 6, 11])
     def test_saved_ages_are_the_leading_paths(self, monkeypatch, n_saved):
@@ -190,20 +208,27 @@ class TestStreamedCcdf:
         with pytest.raises(ValueError):
             simulate_empirical_ccdf(cfg, n_saved=n_saved)
 
-    def test_memory_does_not_grow_with_paths(self):
-        # The README config: c = 10, tau = 2, 20 times by 501 x values.
+    @staticmethod
+    def readme_peak(n_paths):
+        """tracemalloc peak of simulating the README config: c = 10,
+        tau = 2, 20 times by 501 x values."""
         model = make_model(kappa=calibrate_kappa(make_model().link, 10.0), tau=2.0)
         t_grid = np.arange(1, 21) * 0.5
         x_grid = np.arange(501) * 0.02
+        cfg = SimConfig(model, n_paths, seed=3, t_grid=t_grid, x_grid=x_grid)
+        tracemalloc.start()
+        try:
+            simulate_empirical_ccdf(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(n_paths):
-            cfg = SimConfig(model, n_paths, seed=3, t_grid=t_grid, x_grid=x_grid)
-            tracemalloc.start()
-            try:
-                simulate_empirical_ccdf(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+    def test_memory_does_not_grow_with_paths(self):
         chunk = simulate._CHUNK_PATHS
-        assert peak(4 * chunk) <= 1.5 * peak(chunk)
+        assert self.readme_peak(4 * chunk) <= 1.5 * self.readme_peak(chunk)
+
+    def test_readme_peak_builds_no_ages(self):
+        # README's 100k paths hold a chunk's draw, its delays and one copy
+        # of them: about 10 MB.  A chunk's 20 columns of ages and their
+        # sorted copy took 26.5 MB.
+        assert self.readme_peak(100_000) <= 13e6
