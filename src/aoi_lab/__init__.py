@@ -42,6 +42,7 @@ from .outputs import (
     TimeAverageEvaluator,
     aoi_support,
     ccdf_profile,
+    ccdf_profiles,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
@@ -112,6 +113,7 @@ __all__ = [
     "TimeAverageEvaluator",
     "aoi_support",
     "ccdf_profile",
+    "ccdf_profiles",
     "dominance_check",
     "exact_ccdf_grid",
     "heatmap",

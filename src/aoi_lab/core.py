@@ -85,7 +85,8 @@ def _checked_paths(
     array, once the delays are finite and non-negative, t_grid ascends and
     the delays cover every packet generated by its last time."""
     delays = np.atleast_2d(np.asarray(delays, dtype=float))
-    if np.any(delays < 0) or not np.all(np.isfinite(delays)):
+    # One reduction pair, no boolean temporaries: a NaN fails both tests.
+    if delays.size and not (delays.min() >= 0 and delays.max() < np.inf):
         raise ValueError("delays must be finite and non-negative")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size and np.any(np.diff(t_grid) < 0):

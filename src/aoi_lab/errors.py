@@ -10,7 +10,14 @@ class EvaluationError(AoiLabError):
 
 
 class QuadratureError(EvaluationError):
-    """The quadrature scheme cannot represent the requested computation."""
+    """The quadrature scheme cannot represent the requested computation.
+
+    phase, when set, is the index of the failing phase in a chain batch.
+    """
+
+    def __init__(self, message: str, phase: int | None = None):
+        super().__init__(message)
+        self.phase = phase
 
 
 class CalibrationError(AoiLabError):

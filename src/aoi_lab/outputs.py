@@ -6,10 +6,10 @@ probability of the threshold vector g_inverse(j*tau + phi), j = 0..n-1.
 By stationarity (and time-reversibility of the Gauss-Markov chain) that
 probability depends on (t, x) only through the phase phi_t and the block
 length n, so the whole law of A_t at phase phi is the profile
-Q_phi[0..n] from ccdf_profile, the single exact primitive every report
-here reads.  Grid cells are grouped into phase classes and each class is
-served by a single chain sweep whose prefixes yield every block length at
-once.  The time average is the exact phase integral of the profiles:
+Q_phi[0..n] from ccdf_profiles, the single exact primitive every report
+here reads.  Grid cells are grouped into phase classes, and the classes
+advance through one batched chain sweep whose prefixes yield every block
+length at once.  The time average is the exact phase integral of the profiles:
 Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
 integrated in closed form; percentiles invert it by bisection.
 """
@@ -32,7 +32,7 @@ from numpy.polynomial import chebyshev
 from .core import CcdfGrid, block_length, decompose_time
 from .errors import EvaluationError, QuadratureError
 from .links import DelayModel, _bisect, g_apply, g_inverse, marginal_moments
-from .orthant import OuChain, QuadratureSpec, std_normal_tail
+from .orthant import OuChain, QuadratureSpec, batch_size, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
 # threshold's own tail drops below this, the block probability is zero at
@@ -59,68 +59,108 @@ def _phase_key(phi: float, tau: float) -> float:
     return round(phi / tau, _PHASE_DECIMALS)
 
 
+def ccdf_profiles(
+    model: DelayModel,
+    phis: Sequence[float],
+    n_max,
+    spec: QuadratureSpec,
+) -> np.ndarray:
+    """Plateau values Q_phi[0..n_max] of the AoI CCDF at each phase phi,
+    one row per phase, shape (P, max(n_max) + 1).
+
+    Q_phi[n] is the joint probability that the n most recent packets are
+    all late, i.e. the Gaussian tail over thresholds g_inverse(j*tau +
+    phi), j = 0..n-1; Q_phi[0] = 1.  n_max is one block length for every
+    phase or one per phase; a row is 0 past its own.  At rho = 0 a row is a
+    product of marginal tails, at rho = 1 the tail of the largest
+    threshold; otherwise the phases advance in lockstep through one OuChain
+    batch (thresholds in non-decreasing order, valid by time-reversibility),
+    which yields every prefix length as a byproduct.  Phases whose
+    thresholds reach L run in a batch of their own grown spec.
+    """
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    n_max = np.broadcast_to(np.asarray(n_max, dtype=int), phis.shape)
+    width = int(n_max.max(initial=0))
+    tau = model.schedule.tau
+    a = np.empty((phis.size, width))
+    if width > 0:
+        a[:] = g_inverse(model.link, np.arange(width) * tau + phis[:, None])
+    # Past its own n_max a phase meets an impossible event.
+    a[np.arange(width) >= n_max[:, None]] = np.inf
+    q = np.ones((phis.size, width + 1))
+    rho = model.step_correlation()
+    if rho == 0.0:
+        q[:, 1:] = np.cumprod(std_normal_tail(a), axis=1)
+        return q
+    if rho == 1.0:
+        # Thresholds are non-decreasing, so the running max is the last one.
+        q[:, 1:] = std_normal_tail(np.maximum.accumulate(a, axis=1))
+        return q
+    # Cut each sweep where a single coordinate already forces zero mass.
+    a[np.logical_or.accumulate(std_normal_tail(a) < _TAIL_FLOOR, axis=1)] = np.inf
+    n_alive = np.sum(a < np.inf, axis=1)
+    top = np.max(a, axis=1, where=a < np.inf, initial=-np.inf)
+    batches: dict[QuadratureSpec, list[int]] = {}
+    for row, t in enumerate(top.tolist()):
+        if t >= spec.L:
+            grow = t + 4.0
+            key = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
+        else:
+            key = spec
+        batches.setdefault(key, []).append(row)
+    q[:, 1:] = 0.0
+    for batch_spec, rows in batches.items():
+        chain = OuChain(rho, batch_spec)
+        for j in range(int(n_alive[rows].max())):
+            try:
+                q[rows, j + 1] = chain.extend(a[rows, j])
+            except QuadratureError as exc:
+                phase = rows[exc.phase]
+                raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
+    return q
+
+
 def ccdf_profile(
     model: DelayModel,
     phi: float,
     n_max: int,
     spec: QuadratureSpec,
 ) -> np.ndarray:
-    """Plateau values Q[0..n_max] of the AoI CCDF at phase phi.
-
-    Q[n] is the joint probability that the n most recent packets are all
-    late, i.e. the Gaussian tail over thresholds g_inverse(j*tau + phi),
-    j = 0..n-1; Q[0] = 1.  At rho = 0 it is a product of marginal tails, at
-    rho = 1 the tail of the largest threshold; otherwise one chain sweep
-    (thresholds in non-decreasing order, valid by time-reversibility)
-    yields every prefix length as a byproduct.
-    """
-    tau = model.schedule.tau
-    args = np.arange(n_max) * tau + phi
-    a = g_inverse(model.link, args) if n_max > 0 else np.empty(0)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    q = np.ones(n_max + 1)
-    rho = model.step_correlation()
-    if rho == 0.0:
-        q[1:] = np.cumprod(std_normal_tail(a))
-        return q
-    if rho == 1.0:
-        # Thresholds are non-decreasing, so the running max is the last one.
-        q[1:] = std_normal_tail(np.maximum.accumulate(a))
-        return q
-    # Cut the sweep where a single coordinate already forces zero mass.
-    dead = std_normal_tail(a) < _TAIL_FLOOR
-    n_alive = int(np.argmax(dead)) if dead.any() else n_max
-    if n_alive > 0 and np.max(a[:n_alive]) >= spec.L:
-        grow = float(np.max(a[:n_alive])) + 4.0
-        spec = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
-    chain = OuChain(rho, spec)
-    for j in range(n_alive):
-        q[j + 1] = chain.extend(float(a[j]))
-    q[n_alive + 1 :] = 0.0
-    return q
+    """Plateau values Q[0..n_max] of the AoI CCDF at phase phi: the
+    ccdf_profiles batch of one."""
+    return ccdf_profiles(model, [phi], n_max, spec)[0]
 
 
 def _profiles(
     model: DelayModel,
-    tasks: Sequence[tuple[float, int]],
+    phis: Sequence[float],
+    n_max,
     spec: QuadratureSpec,
     threads: int,
-) -> list[np.ndarray]:
-    """ccdf_profile at each (phi, n_max) in tasks, in order, on a pool of
-    up to `threads` worker threads.  Outputs do not depend on `threads`:
-    every profile is computed alone, by the same chain sweep."""
+) -> np.ndarray:
+    """ccdf_profiles at the phases phis, in order, in chunks of
+    orthant.batch_size phases run on a pool of up to `threads` worker
+    threads.  The chunks depend on the phases and the spec alone, and the
+    pool only decides which worker runs each, so outputs do not depend on
+    `threads`."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    n_max = np.broadcast_to(np.asarray(n_max, dtype=int), phis.shape)
+    rho = model.step_correlation()
+    size = batch_size(rho, spec) if 0.0 < rho < 1.0 else max(phis.size, 1)
+    chunks = [slice(i, i + size) for i in range(0, phis.size, size)]
 
-    def compute(task: tuple[float, int]) -> np.ndarray:
-        phi, n_max = task
-        try:
-            return ccdf_profile(model, phi, n_max, spec)
-        except QuadratureError as exc:
-            raise QuadratureError(f"phase phi={phi}: {exc}") from exc
+    def compute(chunk: slice) -> np.ndarray:
+        return ccdf_profiles(model, phis[chunk], n_max[chunk], spec)
 
-    if threads > 1 and len(tasks) > 1:
+    table = np.zeros((phis.size, int(n_max.max(initial=0)) + 1))
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(compute, tasks))
-    return [compute(t) for t in tasks]
+            parts = list(pool.map(compute, chunks))
+    else:
+        parts = [compute(c) for c in chunks]
+    for chunk, part in zip(chunks, parts):
+        table[chunk, : part.shape[1]] = part
+    return table
 
 
 @dataclass(frozen=True)
@@ -173,7 +213,7 @@ def exact_ccdf_grid(
     spec: QuadratureSpec | None = None,
     threads: int = 1,
 ) -> CcdfGrid:
-    """Exact Pr(A_t > x) over the grid, one chain sweep per phase class."""
+    """Exact Pr(A_t > x) over the grid, from one profile per phase class."""
     spec = spec if spec is not None else QuadratureSpec()
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -187,10 +227,7 @@ def exact_ccdf_grid(
     n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
     n_max = np.zeros(keys.size, dtype=int)
     np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
-    tasks = [(float(key * tau), int(m)) for key, m in zip(keys, n_max)]
-    table = np.zeros((keys.size, n_max.max(initial=0) + 1))
-    for row, q in zip(table, _profiles(model, tasks, spec, threads)):
-        row[: q.size] = q
+    table = _profiles(model, keys * tau, n_max, spec, threads)
     p = table[cls[:, None], n]
     return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact")
 
@@ -270,9 +307,9 @@ class TimeAverageEvaluator:
         nodes = chebyshev.chebpts1(_CHEB_DEGREE + 1)
         pieces = list(zip(self.edges, self.edges[1:]))
         phases = np.concatenate([lo + 0.5 * (hi - lo) * (nodes + 1.0) for lo, hi in pieces])
-        tasks = [(float(p), n_max) for p in phases]
         q = np.reshape(
-            _profiles(self.model, tasks, self.spec, self.threads), (len(pieces), nodes.size, -1)
+            _profiles(self.model, phases, n_max, self.spec, self.threads),
+            (len(pieces), nodes.size, -1),
         )
         anti = []
         for (lo, hi), q_piece in zip(pieces, q):

@@ -1,12 +1,17 @@
 """Test-only oracles for Gaussian orthant probabilities: the closed forms
-of the independent and fully-frozen limits, and a plain Monte-Carlo
+of the independent and fully-frozen limits, a plain Monte-Carlo
 estimator over the chain's covariance matrix as an independent
-cross-check of the stagewise engine."""
+cross-check of the stagewise engine, and the per-phase chain sweep that
+the batched one replaced."""
+
+import math
 
 import numpy as np
 
-from aoi_lab.errors import EvaluationError
-from aoi_lab.orthant import std_normal_tail
+from aoi_lab import orthant
+from aoi_lab.errors import EvaluationError, QuadratureError
+from aoi_lab.links import g_inverse
+from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 
 
 def orthant_iid(a) -> float:
@@ -60,3 +65,93 @@ def mvn_orthant_mc(
         remaining -= k
     p = hits / n_samples
     return p, float(np.sqrt(p * (1.0 - p) / n_samples))
+
+
+class PhaseChain:
+    """One phase's chain, stage by stage: orthant.OuChain as it was before
+    it took a batch axis, with the same stage rule, grids and banding."""
+
+    def __init__(self, rho: float, spec: QuadratureSpec | None = None):
+        self.rho = float(rho)
+        self.sd = float(np.sqrt(1.0 - rho * rho))
+        self.spec = spec if spec is not None else QuadratureSpec()
+        self.prob = 1.0
+        self.n = 0
+        self._nodes = self._weights = self._density = self._lo = None
+
+    def extend(self, a: float) -> float:
+        spec = self.spec
+        if a >= spec.L:
+            raise QuadratureError(f"threshold {a} reaches L={spec.L}")
+        lo_new = max(float(a), -spec.L)
+        self.n += 1
+        if self.prob == 0.0:
+            return 0.0
+        if self.n == 1:
+            tail = float(std_normal_tail(a))
+            self.prob = tail
+            if tail < orthant._TINY_PROB:
+                self.prob = 0.0
+                return 0.0
+            nodes, weights = self._grid([lo_new, spec.L])
+            density = orthant._std_normal_pdf(nodes) / tail
+        else:
+            breaks = [lo_new]
+            edge = self.rho * self._lo
+            if lo_new + 1e-9 < edge < spec.L - 1e-9:
+                breaks.append(edge)
+            breaks.append(spec.L)
+            nodes, weights = self._grid(breaks)
+            raw = self._propagate(nodes)
+            tail = min(max(float(weights @ raw), 0.0), 1.0)
+            self.prob *= tail
+            if self.prob < orthant._TINY_PROB or tail == 0.0:
+                self.prob = 0.0
+                return 0.0
+            density = raw / tail
+        self._nodes, self._weights, self._density = nodes, weights, density
+        self._lo = lo_new
+        return self.prob
+
+    def _grid(self, breaks):
+        breaks = np.asarray(breaks, dtype=float)
+        span = breaks[-1] - breaks[0]
+        widths = span * self.rho / self.sd
+        accurate = max(math.ceil(3.0 * widths), 40)
+        n = max(math.ceil(2.0 * widths), min(self.spec.m, accurate))
+        h = span * 20 / n
+        counts = np.ceil(np.diff(breaks) / h).astype(int)
+        edges = [np.linspace(lo, hi, k, endpoint=False)
+                 for lo, hi, k in zip(breaks[:-1], breaks[1:], counts)]
+        return orthant._panels(np.concatenate(edges + [breaks[-1:]]))
+
+    def _propagate(self, targets):
+        rho, sd = self.rho, self.sd
+        centres = rho * self._nodes
+        mass = self._weights * self._density
+        starts = np.searchsorted(targets, np.arange(targets[0], targets[-1], 64.0 * sd))
+        stops = np.append(starts[1:], targets.size)
+        firsts = np.searchsorted(centres, targets[starts] - 9.0 * sd)
+        lasts = np.searchsorted(centres, targets[stops - 1] + 9.0 * sd, "right")
+        raw = np.empty(targets.size)
+        for i0, i1, j0, j1 in zip(starts, stops, firsts, lasts):
+            k = orthant._std_normal_pdf((targets[i0:i1, None] - centres[j0:j1]) / sd) / sd
+            raw[i0:i1] = k @ mass[j0:j1]
+        return raw
+
+
+def phase_profile(model, phi: float, n_max: int, spec: QuadratureSpec) -> np.ndarray:
+    """Q_phi[0..n_max] of one phase by its own PhaseChain sweep, with the
+    engine's cut at a dead coordinate and its growth of L; rho in (0, 1)."""
+    a = np.atleast_1d(g_inverse(model.link, np.arange(n_max) * model.schedule.tau + phi))
+    q = np.zeros(n_max + 1)
+    q[0] = 1.0
+    dead = std_normal_tail(a) < 1e-15
+    n_alive = int(np.argmax(dead)) if dead.any() else n_max
+    if n_alive > 0 and np.max(a[:n_alive]) >= spec.L:
+        grow = float(np.max(a[:n_alive])) + 4.0
+        spec = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
+    chain = PhaseChain(model.step_correlation(), spec)
+    for j in range(n_alive):
+        q[j + 1] = chain.extend(float(a[j]))
+    return q

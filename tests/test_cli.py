@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,27 @@ class TestCommands:
             ) == EXIT_OK
             outs.append((out / "ccdf.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_exact_readme_peak(self, tmp_path):
+        # The README config at two threads: the time average's 36 phases
+        # run in one batch, whose stage kernels (36 x 100 x 100 floats,
+        # 2.9 MB, if built whole) are built in runs of rows within the
+        # chain's 512 kB work array.  The peak of a second run in one
+        # process (1.8 MB, set by the CSV writers) stays under 2 MB.
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        config = tmp_path / "readme.json"
+        config.write_text(block)
+        argv = ["exact", "--config", str(config), "--out", str(tmp_path / "out"),
+                "--threads", "2"]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
 
     def test_sweep_is_thread_invariant(self, config_path, tmp_path):
         outs = []

@@ -225,6 +225,36 @@ class TestAoiPaths:
             aoi_path([-0.1, 0.2], GenerationSchedule(1.0), [0.5])
 
 
+class TestDelayChecks:
+    """Both sample-path kernels reject the same bad delays with the same
+    error."""
+
+    BAD = {
+        "nan": ([[0.1, np.nan, 0.2]], "finite and non-negative"),
+        "+inf": ([[0.1, np.inf, 0.2]], "finite and non-negative"),
+        "-inf": ([[0.1, 0.2, -np.inf]], "finite and non-negative"),
+        "negative": ([[0.1, 0.2], [0.3, -1e-300]], "finite and non-negative"),
+        "empty": ([], "delays cover 0 packets but the horizon needs 2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("kernel", ["aoi_path_matrix", "exceedance_counts"])
+    def test_rejects_bad_delays(self, kernel, case):
+        delays, message = self.BAD[case]
+        schedule, t_grid = GenerationSchedule(1.0), [0.5, 1.5]
+        with pytest.raises(ValueError, match=message):
+            if kernel == "aoi_path_matrix":
+                aoi_path_matrix(delays, schedule, t_grid)
+            else:
+                exceedance_counts(delays, schedule, t_grid, [0.5])
+
+    def test_accepts_zero_delays_and_no_paths(self):
+        schedule = GenerationSchedule(1.0)
+        assert aoi_path_matrix([[0.0, 0.0]], schedule, [1.0])[0, 0] == 0.0
+        above, infinite = exceedance_counts(np.empty((0, 3)), schedule, [1.0], [0.5])
+        assert above.tolist() == [[0]] and infinite.tolist() == [0]
+
+
 class TestExceedanceCounts:
     """Counts read off the arrival lattice against the dense ages."""
 

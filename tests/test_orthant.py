@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from aoi_lab import outputs
+from aoi_lab import orthant, outputs
 from aoi_lab.cli import RunConfig
 from aoi_lab.errors import QuadratureError
 from aoi_lab.orthant import OuChain, QuadratureSpec, ou_orthant, std_normal_tail
-from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
+from oracles import PhaseChain, mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
 
 # Reference joint tails computed independently by conditioning on the
 # middle coordinate(s), under which the outer coordinates of an AR(1)
@@ -152,8 +152,8 @@ class AllocatingChain(OuChain):
     reference for the blocked, banded update on the same stage grids."""
 
     def _propagate(self, targets):
-        k = _pdf((targets[:, None] - self.rho * self._nodes) / self.sd) / self.sd
-        return k @ (self._weights * self._density)
+        k = _pdf((targets[:, :, None] - self.rho * self._nodes[:, None, :]) / self.sd) / self.sd
+        return np.matmul(k, (self._weights * self._density)[:, :, None])[:, :, 0]
 
 
 class FloorChain(OuChain):
@@ -161,7 +161,7 @@ class FloorChain(OuChain):
     nodes per kernel width): the dense reference at large m."""
 
     def _stage_nodes(self, span):
-        return max(self.spec.m, math.ceil(2.0 * span * self.rho / self.sd))
+        return np.maximum(self.spec.m, np.ceil(2.0 * span * self.rho / self.sd))
 
 
 class TestStageUpdate:
@@ -209,6 +209,81 @@ class TestStageUpdate:
         assert peak < m * m * 8
 
 
+class TestBatchedChain:
+    @pytest.mark.parametrize("rho,m", [(0.5, 64), (0.8746, 400), (0.993, 256), (1 - 1e-6, 400)])
+    def test_matches_per_phase_chains(self, rho, m):
+        # Eight phases in lockstep: one opens with two vacuous thresholds,
+        # one ends at its fourth stage (+inf), one dies at the first (at
+        # 1 - 1e-6, where L = 40 would take 113 000 nodes a stage, it is
+        # only tiny), and spans differ, so grids are padded.  At 1 - 1e-6
+        # the stages take banded blocks of rows.
+        rng = np.random.Generator(np.random.Philox(7))
+        a = np.sort(rng.uniform(-2.0, 2.0, size=(8, 6)), axis=1)
+        a[0, :2] = -np.inf
+        a[1, 3:] = np.inf
+        frozen = rho > 0.999
+        a[2, 0] = 7.9 if frozen else 38.0
+        spec = QuadratureSpec(m=m, L=8.0 if frozen else 40.0)
+        chain = OuChain(rho, spec)
+        got = np.array([chain.extend(col) for col in a.T]).T
+        for row, q in zip(a, got):
+            ref = PhaseChain(rho, spec)
+            want = [ref.extend(x) if x < np.inf else 0.0 for x in row]
+            want = np.where(np.cumsum(row == np.inf) > 0, 0.0, want)
+            assert np.max(np.abs(q - want)) <= 1e-15
+        assert got[2, 0] < 1e-14 and (frozen or got[2, 0] == 0.0)
+        assert np.all(got[1, 3:] == 0.0) and np.all(got[3:, -1] > 0.0)
+
+    def test_scalar_threshold_is_a_batch_of_one(self):
+        chain = OuChain(0.6)
+        p = chain.extend(0.2)
+        assert isinstance(p, float) and chain.prob.shape == (1,)
+        assert p == float(std_normal_tail(0.2))
+        with pytest.raises(ValueError, match="expected 1 thresholds"):
+            chain.extend(np.array([0.1, 0.2]))
+
+    def test_infinite_threshold_ends_its_phase(self):
+        chain, alone = OuChain(0.6), OuChain(0.6)
+        chain.extend(np.array([0.0, 0.0]))
+        alone.extend(0.0)
+        got = chain.extend(np.array([np.inf, 0.5]))
+        assert got[0] == 0.0 and got[1] == alone.extend(0.5)
+        got = chain.extend(np.array([-1.0, -1.0]))
+        assert got[0] == 0.0 and got[1] == alone.extend(-1.0)
+
+    def test_work_array_stays_within_budget(self):
+        # 36 full-span phases at README's rho and m = 400: a whole stage
+        # kernel would be 36 x 100 x 100 floats.  It is built in runs of
+        # rows that fit the work array.
+        chain = OuChain(0.8746, QuadratureSpec(m=400))
+        chain.extend(np.full(36, -np.inf))
+        chain.extend(np.full(36, -np.inf))
+        assert chain._nodes.shape[1] >= 100
+        tracemalloc.start()
+        try:
+            for a in np.linspace(-1.0, 1.0, 4):
+                thresholds = np.linspace(a - 1.0, a, 36)
+                thresholds[::3] = -np.inf
+                chain.extend(thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < chain._work.size <= orthant._WORK_FLOATS
+        assert peak < 2 * orthant._WORK_FLOATS * 8
+        assert np.all(chain.prob > 0.0)
+
+    def test_errors_name_the_phase_in_the_batch(self):
+        # A threshold at L, and a stage past the node budget at rho =
+        # 1 - 1e-15: a span of 0.005 fits it, one of 8 does not.
+        with pytest.raises(QuadratureError, match="enlarge L") as info:
+            OuChain(0.5).extend(np.array([0.0, 8.0, 9.0]))
+        assert info.value.phase == 1
+        chain = OuChain(1 - 1e-15)
+        with pytest.raises(QuadratureError, match="frozen") as info:
+            chain.extend(np.array([7.995, np.inf, 0.0]))
+        assert info.value.phase == 2
+
+
 class TestStageGrid:
     @pytest.mark.parametrize(
         "rho,m", [(0.5, 16), (0.5, 64), (0.875, 400), (0.999, 256), (1 - 1e-6, 400)]
@@ -221,7 +296,7 @@ class TestStageGrid:
         chain = OuChain(rho, QuadratureSpec(m=m))
         for breaks in ([-8.0, 8.0], [-1.3, 0.4, 8.0], [0.7, 0.7 + 1e-6, 8.0],
                        [-0.2, 8.0 - 1e-6, 8.0]):
-            nodes, weights = chain._grid(breaks)
+            nodes, weights = (x[0] for x in chain._grid(np.array([breaks])))
             span = breaks[-1] - breaks[0]
             widths = span * rho / chain.sd
             n = max(math.ceil(2 * widths), min(m, max(math.ceil(3 * widths), 40)))
@@ -248,8 +323,8 @@ class TestStageGrid:
                 assert n <= max(m, math.ceil(2 * widths))
                 if m <= max(3 * widths, 40):
                     assert n == max(m, math.ceil(2 * widths))
-                    for got, ref in zip(chain._grid([8.0 - span, 8.0]),
-                                        floor._grid([8.0 - span, 8.0])):
+                    breaks = np.array([[8.0 - span, 8.0]])
+                    for got, ref in zip(chain._grid(breaks), floor._grid(breaks)):
                         assert got.tobytes() == ref.tobytes()
 
 

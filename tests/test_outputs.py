@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from aoi_lab import outputs
+from aoi_lab import orthant, outputs
+from aoi_lab.cli import RunConfig
 from aoi_lab.core import GenerationSchedule, block_length, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -21,12 +22,14 @@ from aoi_lab.links import (
     calibrate_kappa,
     g_inverse,
 )
+from aoi_lab.errors import QuadratureError
 from aoi_lab.orthant import QuadratureSpec, ou_orthant, std_normal_tail
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
     TimeAverageEvaluator,
     ccdf_profile,
+    ccdf_profiles,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
@@ -37,6 +40,7 @@ from aoi_lab.outputs import (
     write_percentiles_csv,
     write_timeavg_csv,
 )
+from oracles import phase_profile
 
 
 def make_model(kind="ou", kappa=0.0815, tau=2.0, link_kind=SHIFTED_LOGNORMAL):
@@ -93,6 +97,111 @@ class TestCcdfProfile:
         assert q == pytest.approx(ref, rel=1e-7)
 
 
+class TestCcdfProfiles:
+    """The batched profiles against each phase's own chain sweep."""
+
+    @staticmethod
+    def per_phase(model, phis, n_max, spec):
+        n_max = np.broadcast_to(n_max, np.shape(phis))
+        ref = np.zeros((len(phis), int(n_max.max()) + 1))
+        for row, phi, n in zip(ref, phis, n_max):
+            row[: n + 1] = phase_profile(model, phi, int(n), spec)
+        return ref
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("link", ["shifted-lognormal", "censored-normal"])
+    def test_matches_per_phase_sweeps(self, link, c, tau):
+        # rho from 8e-8 to 0.993; 7 phases with block lengths 0 to 6, some
+        # below x_min (a first threshold of -inf), in one batch.
+        model = RunConfig.from_dict({
+            "link": {"kind": link, "x_min": 0.5, "mu": 1.0, "s": 0.75},
+            "correlation": {"mode": "ou", "c": c},
+            "tau": tau,
+        }).model()
+        phases = tau * (np.arange(7) + 0.5) / 7
+        n_max = np.array([4, 0, 6, 2, 5, 1, 3])
+        spec = QuadratureSpec()
+        got = ccdf_profiles(model, phases, n_max, spec)
+        ref = self.per_phase(model, phases, n_max, spec)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_mixes_lengths_deaths_and_vacuous_thresholds(self):
+        # Thresholds (y - 0.3 < 0 ? -inf : y) at y = j*10 + phi: phase 0.2
+        # starts at -inf, 5.0 and 7.9 live one stage, 8.5 dies at the first
+        # (its tail is below 1e-15, although 8.5 >= L), and the block
+        # lengths differ.
+        link = LinkFunction(CENSORED_NORMAL, 0.3, 0.0, 1.0)
+        model = DelayModel(link, CorrelationMode("ou", kappa=0.05), GenerationSchedule(10.0))
+        phases = [0.2, 5.0, 8.5, 7.9, 1.0]
+        n_max = np.array([3, 2, 2, 1, 0])
+        spec = QuadratureSpec(m=64)
+        got = ccdf_profiles(model, phases, n_max, spec)
+        assert np.max(np.abs(got - self.per_phase(model, phases, n_max, spec))) <= 1e-15
+        assert np.all(got[:, 0] == 1.0)
+        assert got[2, 1] == 0.0 and got[0, 1] == 1.0 and 0.0 < got[3, 1] < 1e-14
+        assert np.all(got[:, 2:] == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_phase_that_reaches_L_runs_on_its_own_grown_spec(self):
+        # At L = 4, phase 0's thresholds 0..4 reach L (grown to 8) and
+        # phase 0.5's 0.5..4.5 too (grown to 8.5); phase 0.3 stops at 2.3.
+        link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
+        model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
+        phases, n_max = [0.0, 0.3, 0.5], np.array([5, 3, 5])
+        spec = QuadratureSpec(m=64, L=4.0)
+        got = ccdf_profiles(model, phases, n_max, spec)
+        assert np.max(np.abs(got - self.per_phase(model, phases, n_max, spec))) <= 1e-15
+        assert got[0, 5] > 3e-6
+
+    def test_near_frozen_batch_takes_banded_blocks(self):
+        # rho = 1 - 1e-6: kernel-sized stages of about 22 600 nodes, cut
+        # into blocks of rows with a band of nodes each.
+        model = make_model(kappa=-math.log1p(-1e-6) / 2.0)
+        phases = [0.2, 0.7, 1.3, 1.9]
+        spec = QuadratureSpec()
+        got = ccdf_profiles(model, phases, 4, spec)
+        assert np.max(np.abs(got - self.per_phase(model, phases, 4, spec))) <= 1e-15
+
+    def test_quadrature_error_names_the_failing_phase(self):
+        # At rho = 1 - 1e-15 no stage of any width fits the node budget;
+        # phase 0.1 runs no stage, so phase 0.7 is the one that fails.
+        model = make_model(kappa=1e-15 / 2.0)
+        with pytest.raises(QuadratureError, match=r"^phase phi=0\.7: rho=0\.99.*frozen"):
+            ccdf_profiles(model, [0.1, 0.7], np.array([0, 2]), QuadratureSpec())
+
+    def test_profile_is_the_batch_of_one(self):
+        model = make_model()
+        batch = ccdf_profiles(model, [0.3, 0.7, 1.6], 6, QuadratureSpec())
+        for phi, row in zip([0.3, 0.7, 1.6], batch):
+            assert np.max(np.abs(ccdf_profile(model, phi, 6, QuadratureSpec()) - row)) <= 1e-15
+
+    def test_outputs_are_byte_identical_across_threads(self, monkeypatch):
+        # A work array of 300 floats puts 3 phases of 100 nodes in a batch:
+        # the grid's 4 phase classes take 2 chunks and the time average's
+        # 36 phases 12, each kernel built one row at a time.
+        model = make_model()
+        t_grid, x_grid = np.arange(0.5, 10.0, 0.5), np.arange(0.0, 10.0, 0.1)
+        spec = QuadratureSpec()
+
+        def run(threads):
+            grid = exact_ccdf_grid(model, t_grid, x_grid, spec, threads=threads)
+            ev = TimeAverageEvaluator(model, spec, threads=threads)
+            pct = percentiles(model, DEFAULT_LEVELS, spec, evaluator=ev)
+            return grid.p, ev.value(x_grid), pct
+
+        whole = run(1)
+        monkeypatch.setattr(orthant, "_WORK_FLOATS", 300)
+        assert orthant.batch_size(model.step_correlation(), spec) == 3
+        chunked = [run(threads) for threads in (1, 2, 4)]
+        for arrays in chunked[1:]:
+            for got, ref in zip(arrays, chunked[0]):
+                assert got.tobytes() == ref.tobytes()
+        for got, ref in zip(chunked[0], whole):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
 class TestExactCcdfGrid:
     def test_unit_below_phase_and_monotone_in_x(self):
         model = make_model()
@@ -133,22 +242,28 @@ class TestExactCcdfGrid:
         t_grid = np.array([0.05, 0.3, 0.1 + 0.2, 0.45, 0.8, 1.05, 1.6, 2.0, 2.3])
         x_grid = np.sort(np.concatenate([[0.0, 0.1, 0.2, 1.37, 4.0], 0.3 + 0.5 * np.arange(6)]))
         calls = []
-        real = outputs.ccdf_profile
+        real = outputs.ccdf_profiles
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(outputs, "ccdf_profile", counted)
+        monkeypatch.setattr(outputs, "ccdf_profiles", counted)
         grid = exact_ccdf_grid(model, t_grid, x_grid)
         monkeypatch.undo()
-        assert sorted(calls) == calls and len(calls) == 5
+        assert len(calls) == 1
+        _, phis, n_max, spec = calls[0]
+        assert list(phis) == sorted(set(phis)) and len(phis) == 5
+        table = ccdf_profiles(model, phis, n_max, spec)
         for i, t in enumerate(t_grid):
             dec = decompose_time(float(t), 0.5)
             phi = outputs._phase_key(dec.phi, 0.5) * 0.5
+            row = list(phis).index(phi)
             for j, x in enumerate(x_grid):
                 n = block_length(float(x), phi, 0.5, dec.k)
-                assert grid.p[i, j] == ccdf_profile(model, phi, n, QuadratureSpec())[n]
+                assert n <= n_max[row]
+                assert grid.p[i, j] == table[row, n]
+                assert abs(grid.p[i, j] - phase_profile(model, phi, n, QuadratureSpec())[n]) <= 1e-15
 
     def test_empty_grids(self):
         assert exact_ccdf_grid(make_model(), [], [0.5]).p.shape == (0, 1)
@@ -285,13 +400,13 @@ class TestPercentiles:
         link = make_model().link
         model = make_model(kappa=calibrate_kappa(link, 10.0), tau=0.1)
         phases = []
-        profile = outputs.ccdf_profile
+        profiles = outputs.ccdf_profiles
 
-        def counted(model, phi, n_max, spec):
-            phases.append(phi)
-            return profile(model, phi, n_max, spec)
+        def counted(model, phis, n_max, spec):
+            phases.extend(phis)
+            return profiles(model, phis, n_max, spec)
 
-        monkeypatch.setattr(outputs, "ccdf_profile", counted)
+        monkeypatch.setattr(outputs, "ccdf_profiles", counted)
         for threads in (1, 2):
             phases.clear()
             vals = percentiles(model, DEFAULT_LEVELS, QuadratureSpec(m=64), threads=threads)
