@@ -11,7 +11,8 @@ here reads.  Grid cells are grouped into phase classes, and the classes
 advance through one batched chain sweep whose prefixes yield every block
 length at once.  The time average is the exact phase integral of the profiles:
 Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
-integrated in closed form; percentiles invert it by bisection.
+integrated in closed form.  Percentiles invert it by false position on
+those same pieces, to adjacent floats.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +51,11 @@ _PHASE_DECIMALS = 10
 _CHEB_DEGREE = 8
 _GRADE_RATIO = 0.3
 _GRADE_LEVELS = 2
+
+# Each false-position step of the percentile solver also evaluates the
+# bracket's midpoint, so every bracket at least halves, and the floats within
+# 16 ulps of its point, so a point that close to the root ends the search.
+_PROBE_ULPS = np.arange(-16.0, 17.0)
 
 
 def _phase_key(phi: float, tau: float) -> float:
@@ -154,6 +157,8 @@ def _profiles(
 
     table = np.zeros((phis.size, int(n_max.max(initial=0)) + 1))
     if threads > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(compute, chunks))
     else:
@@ -370,16 +375,19 @@ def percentiles(
 ) -> np.ndarray:
     """Generalized inverses inf{x >= 0 : F_avg(x) <= 1 - p} for each level.
 
-    F_avg falls continuously from F_avg(0) = 1, so one vectorized bisection
-    finds every level, to adjacent floats, in one bracket [0, hi].  hi
-    starts at tau plus the delay quantile q at the deepest level p, or at
-    the search ceiling (default 50*tau + 20*mean delay) if that is lower.
-    For x >= tau, A_t > x needs the packet generated in [t - x, t - x + tau)
-    still in flight, so F_avg(tau + q) <= Pr(D > q) <= 1 - p under any
-    correlation, and the profiles grow once.  Otherwise hi doubles up to
-    the ceiling, and a level still above F_avg at the ceiling returns +inf:
-    +inf means the percentile lies beyond it.  An evaluator built here
-    computes its profiles on `threads` threads.
+    F_avg falls continuously from F_avg(0) = 1.  hi starts at tau plus the
+    delay quantile q at the deepest level p, or at the search ceiling
+    (default 50*tau + 20*mean delay) if that is lower: for x >= tau, A_t > x
+    needs the packet generated in [t - x, t - x + tau) still in flight, so
+    F_avg(tau + q) <= Pr(D > q) <= 1 - p under any correlation, and the
+    profiles grow once.  Otherwise hi doubles up to the ceiling, and a level
+    still above F_avg at the ceiling returns +inf: the percentile lies
+    beyond it.  F_avg is one polynomial between the knots j*tau + e, e an
+    edge of the phase pieces, so one evaluation at the knots below hi
+    brackets each level.  Safeguarded false position shrinks all brackets
+    together, keeping F_avg(lo) > 1 - p >= F_avg(hi), until hi is the float
+    after lo.  An evaluator built here computes its profiles on `threads`
+    threads.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
@@ -388,11 +396,32 @@ def percentiles(
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
     targets = 1.0 - np.asarray(levels, dtype=float)
-    hi = min(tau + g_apply(model.link, NormalDist().inv_cdf(max(levels))), ceiling)
+    z = _bisect(lambda z: 1.0 - max(levels) - std_normal_tail(z), -10.0, 10.0)
+    hi = min(tau + g_apply(model.link, z), ceiling)
     while ev.value(hi) > targets.min() and hi < ceiling:
         hi = min(2.0 * hi, ceiling)
-    roots = _bisect(lambda x: targets - ev.value(x), np.zeros_like(targets), hi)
-    return np.where(ev.value(hi) <= targets, roots, np.inf)
+    knots = (np.arange(math.ceil(hi / tau))[:, None] * tau + ev.edges[:-1]).ravel()
+    knots = np.append(knots[knots < hi], hi)
+    f = ev.value(knots)
+    # The first knot with F_avg <= 1 - p: 0 when F_avg(0) is already there,
+    # and none (+inf) when F_avg(hi) is not.
+    i = np.searchsorted(-f, -targets)
+    out = np.where(i == 0, 0.0, np.inf)
+    todo = (i > 0) & (i < knots.size)
+    k, t = i[todo], targets[todo]
+    lo, hi, g_lo, g_hi = knots[k - 1], knots[k], f[k - 1] - t, f[k] - t
+    rows = np.arange(t.size)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            out[todo] = hi
+            return out
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        near = np.clip(x[:, None] + _PROBE_ULPS * np.spacing(x)[:, None], lo[:, None], hi[:, None])
+        pts = np.sort(np.column_stack([lo, mid, near, hi]), axis=1)
+        g = ev.value(pts) - t[:, None]
+        j = np.argmax(g <= 0, axis=1)
+        lo, hi, g_lo, g_hi = pts[rows, j - 1], pts[rows, j], g[rows, j - 1], g[rows, j]
 
 
 @dataclass
@@ -454,35 +483,37 @@ def _fmt(v: float) -> str:
     return _FMT % v
 
 
+def _strings(values, end: str) -> np.ndarray:
+    """_FMT of each value and `end`, in an object array of the values' shape.
+    Each distinct bit pattern is formatted once, so -0.0 prints -0."""
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    fmt = _FMT + end
+    strings = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
+    return strings[inverse].reshape(values.shape)
+
+
 def _write_table(path: str, header: str, *columns) -> None:
-    """CSV of a header line and one row per entry of the equally sized
-    columns, each read in C order."""
-    row = ",".join([_FMT] * len(columns))
-    lines = [row % cells for cells in zip(*(np.ravel(c).tolist() for c in columns))]
-    _atomic_write(path, "\n".join([header, *lines]) + "\n")
-
-
-def _write_grid(path: str, header: str, t_values, x_values, *cells) -> None:
-    """CSV of a header line and one row per (t, x) pair, t-major, then the
-    pair's entry of each (t, x)-shaped cell array.  Each t and each x is
-    formatted once."""
-    ts = [_fmt(t) for t in np.ravel(t_values).tolist()]
-    xs = [_fmt(x) for x in np.ravel(x_values).tolist()]
-    row = ",".join([_FMT] * len(cells))
-    values = zip(*(np.ravel(c).tolist() for c in cells))
-    lines = [f"{t},{x},{row % v}" for (t, x), v in zip(product(ts, xs), values)]
-    _atomic_write(path, "\n".join([header, *lines]) + "\n")
+    """CSV of a header line and one row per entry of the columns broadcast
+    together, in C order.  Each distinct value of a column is formatted
+    once, and the rows are one join of the table of those strings."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    table = np.empty((*shape, len(columns)), dtype=object)
+    for k, c in enumerate(columns):
+        table[..., k] = _strings(c, "," if k < len(columns) - 1 else "\n")
+    _atomic_write(path, header + "\n" + "".join(table.ravel().tolist()))
 
 
 def write_ccdf_csv(grid: CcdfGrid, path: str, stderr: np.ndarray | None = None) -> None:
+    t = np.reshape(grid.t_values, (-1, 1))
     if stderr is None:
-        _write_grid(path, "t,x,ccdf", grid.t_values, grid.x_values, grid.p)
+        _write_table(path, "t,x,ccdf", t, grid.x_values, grid.p)
     else:
-        _write_grid(path, "t,x,ccdf,stderr", grid.t_values, grid.x_values, grid.p, stderr)
+        _write_table(path, "t,x,ccdf,stderr", t, grid.x_values, grid.p, stderr)
 
 
 def write_heatmap_csv(hm: HeatmapGrid, path: str) -> None:
-    _write_grid(path, "t,x,pmf", hm.t_values, hm.x_values, hm.mass)
+    _write_table(path, "t,x,pmf", np.reshape(hm.t_values, (-1, 1)), hm.x_values, hm.mass)
 
 
 def write_timeavg_csv(x_values: Sequence[float], values: Sequence[float], path: str) -> None:

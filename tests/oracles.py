@@ -1,16 +1,18 @@
 """Test-only oracles for Gaussian orthant probabilities: the closed forms
 of the independent and fully-frozen limits, a plain Monte-Carlo
 estimator over the chain's covariance matrix as an independent
-cross-check of the stagewise engine, and the per-phase chain sweep that
-the batched one replaced."""
+cross-check of the stagewise engine, the per-phase chain sweep that
+the batched one replaced, and the percentile bisection that false position
+replaced."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
-from aoi_lab import orthant
+from aoi_lab import orthant, outputs
 from aoi_lab.errors import EvaluationError, QuadratureError
-from aoi_lab.links import g_inverse
+from aoi_lab.links import _bisect, g_apply, g_inverse, marginal_moments
 from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 
 
@@ -155,3 +157,19 @@ def phase_profile(model, phi: float, n_max: int, spec: QuadratureSpec) -> np.nda
     for j in range(n_alive):
         q[j + 1] = chain.extend(float(a[j]))
     return q
+
+
+def bisection_percentiles(model, levels, spec=None, x_ceiling=None, evaluator=None):
+    """Percentiles of the time-averaged AoI law by one vectorized bisection
+    over [0, hi], to adjacent floats, with outputs.percentiles' bracket
+    start, doubling and +inf rule."""
+    ev = evaluator or outputs.TimeAverageEvaluator(model, spec)
+    tau = model.schedule.tau
+    mean_delay, _ = marginal_moments(model.link)
+    ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
+    targets = 1.0 - np.asarray(levels, dtype=float)
+    hi = min(tau + g_apply(model.link, NormalDist().inv_cdf(max(levels))), ceiling)
+    while ev.value(hi) > targets.min() and hi < ceiling:
+        hi = min(2.0 * hi, ceiling)
+    roots = _bisect(lambda x: targets - ev.value(x), np.zeros_like(targets), hi)
+    return np.where(ev.value(hi) <= targets, roots, np.inf)

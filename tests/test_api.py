@@ -194,3 +194,16 @@ def test_run_config_resolves_lazily():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_cli_import_loads_no_pool_or_statistics():
+    # The thread pool is imported only when a batch has more than one
+    # chunk, and the percentile bracket needs no statistics module.
+    code = (
+        "import sys\n"
+        "import aoi_lab.cli\n"
+        "print([m for m in ('statistics', 'concurrent.futures') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

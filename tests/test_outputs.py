@@ -4,6 +4,7 @@ and serialization."""
 import json
 import math
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from aoi_lab.outputs import (
     write_percentiles_csv,
     write_timeavg_csv,
 )
-from oracles import phase_profile
+from oracles import bisection_percentiles, phase_profile
 
 
 def make_model(kind="ou", kappa=0.0815, tau=2.0, link_kind=SHIFTED_LOGNORMAL):
@@ -413,6 +414,45 @@ class TestPercentiles:
             assert np.all(np.isfinite(vals))
             assert len(phases) == len(set(phases)) == 27, threads
 
+    @pytest.mark.parametrize("link_kind", [SHIFTED_LOGNORMAL, CENSORED_NORMAL])
+    @pytest.mark.parametrize("s", [0.75, 1.25])
+    def test_matches_bisection_oracle(self, link_kind, s):
+        # False position on the knots of the phase pieces against a plain
+        # bisection of the same F_avg, both to adjacent floats.  F_avg in
+        # floating point is not exactly monotone, so the two may stop a few
+        # floats apart; each result is still a crossing of its level.
+        levels = (0.01, 0.1, 0.5, 0.9, 0.99, 0.9999)
+        spec = QuadratureSpec(m=64)
+        for tau, c, ceiling in product((0.1, 0.5, 2.0), (0.0, 0.1, 1.0, 10.0, math.inf), (None, 3.0)):
+            model = RunConfig(link_kind, x_min=0.5, mu=1.0, s=s, c=c, tau=tau).model()
+            ev = TimeAverageEvaluator(model, spec)
+            got = percentiles(model, levels, x_ceiling=ceiling, evaluator=ev)
+            ref = bisection_percentiles(model, levels, x_ceiling=ceiling, evaluator=ev)
+            case = (tau, c, ceiling)
+            assert np.array_equal(np.isinf(got), np.isinf(ref)), case
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-14 * ref[finite]), case
+            x, target = got[finite], 1.0 - np.asarray(levels)[finite]
+            assert np.all(ev.value(x) <= target), case
+            assert np.all(ev.value(np.nextafter(x, -np.inf)) > target), case
+
+    def test_readme_model_takes_few_evaluations(self, monkeypatch):
+        # Bisection to adjacent floats took 58 evaluations of F_avg here.
+        model = make_model(kappa=calibrate_kappa(make_model().link, 10.0))
+        ev = TimeAverageEvaluator(model)
+        calls = []
+        value = TimeAverageEvaluator.value
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return value(self, x)
+
+        monkeypatch.setattr(TimeAverageEvaluator, "value", counted)
+        vals = percentiles(model, DEFAULT_LEVELS, evaluator=ev)
+        monkeypatch.undo()
+        assert np.array_equal(vals, bisection_percentiles(model, DEFAULT_LEVELS, evaluator=ev))
+        assert len(calls) <= 16
+
     def test_unreachable_level_is_infinite(self):
         # The frozen lognormal age has an unbounded heavy tail, so a deep
         # percentile lies beyond a small search ceiling.
@@ -487,15 +527,9 @@ class TestSerialization:
         write_heatmap_csv(heatmap(grid, 0.5), str(path))
         assert path.read_text().startswith("t,x,pmf\n")
 
-    @pytest.mark.parametrize("writer", ["ccdf", "ccdf+stderr", "heatmap"])
-    def test_grid_rows_are_per_cell_formats(self, tmp_path, writer):
-        # Each t and x is formatted once; the rows are those of formatting
-        # every cell's numbers together.
-        values = np.array([math.inf, -math.inf, math.nan, 0.0, 1e-300, 1 / 3])
-        t, x = values, values[::-1].copy()
-        p = np.resize([0.0, 1e-300, math.nan, 1 / 3, 1.0], (t.size, x.size))
-        cells = np.resize(values[1:], (t.size, x.size))
-        path = tmp_path / "grid.csv"
+    @staticmethod
+    def check_grid_rows(path, writer, t, x, p, cells):
+        # The rows are those of formatting every cell's numbers together.
         if writer == "heatmap":
             write_heatmap_csv(outputs.HeatmapGrid(t, x, cells, 0.5), str(path))
             columns = (cells,)
@@ -511,6 +545,31 @@ class TestSerialization:
             for j in range(x.size)
         ]
         assert path.read_text().split("\n")[1:] == [*expected, ""]
+
+    @pytest.mark.parametrize("writer", ["ccdf", "ccdf+stderr", "heatmap"])
+    def test_grid_rows_are_per_cell_formats(self, tmp_path, writer):
+        # Each distinct t, x and cell value is formatted once, and -0.0
+        # prints -0 beside 0.0, which prints 0.
+        values = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300, 1 / 3])
+        t, x = values, values[::-1].copy()
+        p = np.resize([0.0, -0.0, 1e-300, math.nan, 1 / 3, 1.0], (t.size, x.size))
+        cells = np.resize(values[1:], (t.size, x.size))
+        self.check_grid_rows(tmp_path / "grid.csv", writer, t, x, p, cells)
+
+    @pytest.mark.parametrize("data", ["repeats", "distinct"])
+    @pytest.mark.parametrize("writer", ["ccdf", "ccdf+stderr", "heatmap"])
+    def test_grid_rows_of_repeated_and_distinct_values(self, tmp_path, writer, data):
+        # 10 000 cells holding 6 and 3 distinct values, as exact grids do,
+        # or 6000 cells whose values all differ.
+        rng = np.random.default_rng(5)
+        if data == "repeats":
+            t, x = np.arange(40) * 0.25, np.arange(250) * 0.02
+            p = rng.choice([1.0, 0.5, 1 / 3, 0.0, -0.0, 1e-17], size=(t.size, x.size))
+            cells = rng.choice([0.0, -0.0, 2.5e-3], size=p.shape)
+        else:
+            t, x = rng.random(30), rng.random(200)
+            p, cells = rng.random((2, t.size, x.size))
+        self.check_grid_rows(tmp_path / "grid.csv", writer, t, x, p, cells)
 
     def test_timeavg_csv_format(self, tmp_path):
         path = tmp_path / "timeavg.csv"
