@@ -29,19 +29,19 @@ def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def _bisect(f, lo, hi):
+def _bisect(f, lo: float, hi: float) -> float:
     """Least x in [lo, hi] with f(x) >= 0, to adjacent floats, for f
-    non-decreasing with f(hi) >= 0; elementwise over array brackets."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    hi = np.where(f(lo) >= 0, lo, hi)
+    non-decreasing with f(hi) >= 0."""
+    if f(lo) >= 0:
+        return lo
     while True:
         mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            return hi if hi.ndim else float(hi)
-        up = f(mid) >= 0
-        lo = np.where(inside & ~up, mid, lo)
-        hi = np.where(inside & up, mid, hi)
+        if not lo < mid < hi:
+            return hi
+        if f(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,17 @@ class CalibrationTarget:
             raise ValueError(f"target sd must be positive, got {self.s}")
 
 
-def g_apply(link: LinkFunction, z):
-    """Delay value g(z); accepts scalars or arrays."""
+def g_apply(link: LinkFunction, z, out=None):
+    """Delay value g(z); accepts scalars or arrays.  An array result is
+    written into out when it is given, which may be z itself."""
     z = np.asarray(z, dtype=float)
+    out = np.multiply(z, link.s_hat, out=np.empty_like(z) if out is None else out)
+    out += link.mu_hat
     if link.kind == SHIFTED_LOGNORMAL:
-        out = link.x_min + np.exp(link.mu_hat + link.s_hat * z)
+        np.exp(out, out=out)
+        out += link.x_min
     else:
-        out = np.maximum(link.x_min, link.mu_hat + link.s_hat * z)
+        np.maximum(out, link.x_min, out=out)
     return float(out) if out.ndim == 0 else out
 
 

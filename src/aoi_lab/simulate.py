@@ -7,10 +7,14 @@ into arrival times.  The empirical CCDF grid used to cross-validate the
 exact engine counts, per observation time, the paths whose age exceeds
 each x.  The age at t is t - L*tau for the newest arrived packet L, so the
 counts are read off the arrival lattice (core.exceedance_counts) without
-building per-path ages.  The counts stream over chunks of paths drawn from
-one Philox generator seeded with the configured seed, so memory does not
-grow with the number of paths.  The same draw yields the ages of its first
-paths on request; that is what the CLI saves as paths.csv.
+building per-path ages: each chunk of paths adds its arrival counts, and
+the ages above each x are tallied once from their sum.  The chunks are
+drawn from one Philox generator seeded with the configured seed, and each
+holds about _CHUNK_FLOATS floats of draws, so memory grows neither with
+the number of paths nor with the packets per path (a long horizon or a
+fine tau).  The draw is path-major and becomes the delays in place, so the
+bytes do not depend on the chunk size.  The same draw yields the ages of
+its first paths on request; that is what the CLI saves as paths.csv.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import math
 
 import numpy as np
 
-from .core import CcdfGrid, aoi_path_matrix, exceedance_counts
+from .core import CcdfGrid, aoi_path_matrix, arrival_counts, counts_above
 from .links import DelayModel, g_apply
 
-# Paths simulated at once by simulate_empirical_ccdf.  Memory is
-# O(_CHUNK_PATHS * n_packets); the draws do not depend on it.
-_CHUNK_PATHS = 1 << 16
+# Draws held at once by simulate_empirical_ccdf: each chunk has
+# max(_CHUNK_FLOATS // n_packets, 1) paths.  A chunk holds its delays, the
+# counting kernel's arrival times and at most a boolean each, so at most
+# about 17 * _CHUNK_FLOATS bytes; the draws do not depend on it.  Smaller
+# budgets spend more time per path in numpy calls over short rows.
+_CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -63,33 +70,37 @@ class EmpiricalCcdf:
 
 
 def sample_driver(
-    model: DelayModel, n: int, rng: np.random.Generator, n_paths: int
+    model: DelayModel,
+    n: int,
+    rng: np.random.Generator,
+    n_paths: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gaussian driver samples at the first n generation instants, shape
-    (n_paths, n), exact in distribution: the stationary AR(1) chain
-    Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i, which at rho = 0
-    is the raw N(0,1) draw bit for bit; at rho = 1, Z_0 repeated.
+    """Gaussian driver samples at the first n generation instants, a
+    C-ordered array of shape (n_paths, n), exact in distribution: the
+    stationary AR(1) chain Z_0 ~ N(0,1), Z_{i+1} = rho*Z_i + sqrt(1-rho^2)*xi_i,
+    which at rho = 0 is the raw N(0,1) draw bit for bit; at rho = 1, Z_0
+    repeated.
 
     Draws from and advances rng, so rows drawn in chunks from one Generator
-    equal one draw of all rows.
+    equal one draw of all rows.  The recursion runs in place down the
+    columns of the path-major draw, so the result is the only array of its
+    size; it is out when given, a C-contiguous (n_paths, n) float array.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rho = model.step_correlation()
-    # One packet per row of a contiguous array; the result is its transpose.
     if rho == 1.0:
-        z = np.empty((n, n_paths))
-        z[:] = rng.standard_normal(n_paths)
-        return z.T
-    # The recursion runs in place down the rows of the draw's transpose.
-    z = rng.standard_normal((n_paths, n)).T.copy()
-    noise_scale = math.sqrt(1.0 - rho * rho)
+        z = np.empty((n_paths, n)) if out is None else out
+        z[:] = rng.standard_normal(n_paths)[:, None]
+        return z
+    z = rng.standard_normal((n_paths, n), out=out)
+    z[:, 1:] *= math.sqrt(1.0 - rho * rho)
     prev = np.empty(n_paths)
     for i in range(1, n):
-        np.multiply(z[i - 1], rho, out=prev)
-        z[i] *= noise_scale
-        z[i] += prev
-    return z.T
+        np.multiply(z[:, i - 1], rho, out=prev)
+        z[:, i] += prev
+    return z
 
 
 def _n_packets(config: SimConfig) -> int:
@@ -100,48 +111,51 @@ def _n_packets(config: SimConfig) -> int:
 def _chunk_counts(
     config: SimConfig,
     rng: np.random.Generator,
-    size: int,
-    x_grid: np.ndarray,
     saved: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For size fresh paths: per observation time, the number of ages above
-    each x and the number of infinite ages.  Ages are built only for the
-    leading paths that saved holds; the chunk's arrays are freed on return,
-    before the next chunk is drawn."""
+    work: np.ndarray,
+) -> np.ndarray:
+    """core.arrival_counts of len(work) fresh paths, drawn into work, where
+    the link maps them to delays in place.  Ages are built only for the
+    leading paths that saved holds."""
     model = config.model
-    delays = g_apply(model.link, sample_driver(model, _n_packets(config), rng, size))
+    z = sample_driver(model, work.shape[1], rng, len(work), out=work)
+    delays = g_apply(model.link, z, out=z)
     if len(saved):
         saved[:] = aoi_path_matrix(delays[: len(saved)], model.schedule, config.t_grid)
-    return exceedance_counts(delays, model.schedule, config.t_grid, x_grid)
+    return arrival_counts(delays, model.schedule, config.t_grid)
 
 
 def simulate_empirical_ccdf(config: SimConfig, n_saved: int = 0) -> EmpiricalCcdf:
     """Empirical Pr(A_t > x) over the configured grid, and the ages of the
     first n_saved paths of the same draw.
 
-    Each chunk of paths adds, per observation time, the number of its
-    paths whose age exceeds each x, counted from the arrival lattice: the
-    paths whose newest arrival is packet L have age t - L*tau, and an age
-    equal to x does not count.  Paths with no arrival yet have infinite age,
-    exceed every finite threshold and are additionally counted per
-    observation time.  The counts are exact integers, so p equals the mean
-    of the per-path indicators bit for bit.
+    Each chunk of paths adds its arrival counts; per observation time, the
+    paths whose age exceeds each x are read from their sum on the arrival
+    lattice: the paths whose newest arrival is packet L have age t - L*tau,
+    and an age equal to x does not count.  Paths with no arrival yet have
+    infinite age, exceed every finite threshold and are additionally
+    counted per observation time.  The counts are exact integers, so p
+    equals the mean of the per-path indicators bit for bit.
     """
     if not 0 <= n_saved <= config.n_paths:
         raise ValueError(f"n_saved must lie in [0, {config.n_paths}], got {n_saved}")
     t_grid = np.asarray(config.t_grid, dtype=float)
     x_grid = np.asarray(config.x_grid, dtype=float)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    counts = np.zeros((t_grid.size, x_grid.size), dtype=np.int64)
-    n_infinite = np.zeros(t_grid.size, dtype=np.int64)
+    n_packets = _n_packets(config)
+    arrived = np.zeros((n_packets + 1, t_grid.size), dtype=np.int64)
     ages = np.empty((n_saved, t_grid.size))
-    for start in range(0, config.n_paths, _CHUNK_PATHS):
-        size = min(_CHUNK_PATHS, config.n_paths - start)
-        above, infinite = _chunk_counts(
-            config, rng, size, x_grid, ages[start : start + size]
-        )
-        counts += above
-        n_infinite += infinite
+    chunk = max(_CHUNK_FLOATS // n_packets, 1)
+    # One buffer for every chunk's draw: arrays freed chunk by chunk went
+    # back to the system and were faulted in again, 512 pages a chunk at
+    # tau = 0.05 on README's config.
+    work = np.empty((min(chunk, config.n_paths), n_packets))
+    for start in range(0, config.n_paths, chunk):
+        size = min(chunk, config.n_paths - start)
+        arrived += _chunk_counts(config, rng, ages[start : start + size], work[:size])
+    counts, n_infinite = counts_above(
+        arrived, config.n_paths, config.model.schedule, t_grid, x_grid
+    )
     p = counts / config.n_paths
     stderr = np.sqrt(p * (1.0 - p) / config.n_paths)
     grid = CcdfGrid(

@@ -2,8 +2,11 @@
 of the independent and fully-frozen limits, a plain Monte-Carlo
 estimator over the chain's covariance matrix as an independent
 cross-check of the stagewise engine, the per-phase chain sweep that
-the batched one replaced, and the percentile bisection that false position
-replaced."""
+the batched one replaced, the percentile bisection that false position
+replaced, the elementwise bisection over array brackets that the scalar
+links._bisect replaced, and the arrival-lattice counting kernel with one
+count per (packet, time) cell, which core.arrival_counts keeps only for
+chunks of many paths."""
 
 import math
 from statistics import NormalDist
@@ -12,7 +15,8 @@ import numpy as np
 
 from aoi_lab import orthant, outputs
 from aoi_lab.errors import EvaluationError, QuadratureError
-from aoi_lab.links import _bisect, g_apply, g_inverse, marginal_moments
+from aoi_lab.core import _checked_paths, decompose_time
+from aoi_lab.links import g_apply, g_inverse, marginal_moments
 from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 
 
@@ -171,5 +175,50 @@ def bisection_percentiles(model, levels, spec=None, x_ceiling=None, evaluator=No
     hi = min(tau + g_apply(model.link, NormalDist().inv_cdf(max(levels))), ceiling)
     while ev.value(hi) > targets.min() and hi < ceiling:
         hi = min(2.0 * hi, ceiling)
-    roots = _bisect(lambda x: targets - ev.value(x), np.zeros_like(targets), hi)
+    roots = bisect(lambda x: targets - ev.value(x), np.zeros_like(targets), hi)
     return np.where(ev.value(hi) <= targets, roots, np.inf)
+
+
+def bisect(f, lo, hi):
+    """Least x in [lo, hi] with f(x) >= 0, to adjacent floats, for f
+    non-decreasing with f(hi) >= 0; elementwise over array brackets."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    hi = np.where(f(lo) >= 0, lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return hi if hi.ndim else float(hi)
+        up = f(mid) >= 0
+        lo = np.where(inside & ~up, mid, lo)
+        hi = np.where(inside & up, mid, hi)
+
+
+def cell_exceedance_counts(delays, schedule, t_grid, x_grid):
+    """core.exceedance_counts with one count per (packet, grid time) cell:
+    row i of the suffix minimum of the arrival times is counted at every
+    grid time from the first that has generated packet i."""
+    delays, t_grid = _checked_paths(delays, schedule, t_grid)
+    x_grid = np.asarray(x_grid, dtype=float)
+    tau = schedule.tau
+    n_paths, n_packets = delays.shape
+    gen = np.arange(n_packets) * tau
+    k = np.array([decompose_time(float(t), tau).k for t in t_grid], dtype=int)
+    first = np.searchsorted(k, np.arange(n_packets))
+    generated = np.append(t_grid, np.inf)[first]
+    s = np.empty((n_packets, n_paths))
+    np.add(gen[:, None], delays.T, out=s)
+    np.maximum(s, generated[:, None], out=s)
+    for i in range(n_packets - 2, -1, -1):
+        np.minimum(s[i], s[i + 1], out=s[i])
+    arrived = np.zeros((n_packets + 1, t_grid.size), dtype=np.int64)
+    hit = np.empty(n_paths, dtype=bool)
+    for i, row in enumerate(s):
+        for j in range(first[i], t_grid.size):
+            arrived[i, j] = np.count_nonzero(np.less_equal(row, t_grid[j], out=hit))
+    n_infinite = n_paths - arrived[0]
+    above = np.outer(n_infinite, x_grid < np.inf)
+    for j, t in enumerate(t_grid):
+        n_above = n_packets - np.searchsorted(t - gen[::-1], x_grid, side="right")
+        above[j] += arrived[0, j] - arrived[n_above, j]
+    return above, n_infinite

@@ -41,7 +41,7 @@ def test_every_exported_name_resolves():
         (orthant.OuChain, "extend"),
         (simulate, "sample_driver"),
         (simulate, "aoi_path_matrix"),
-        (simulate, "exceedance_counts"),
+        (simulate, "arrival_counts"),
         (core, "GenerationSchedule"),
         (links, "CalibrationTarget"),
         (links, "CorrelationMode"),

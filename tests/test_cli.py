@@ -220,8 +220,9 @@ class TestCommands:
         assert (out1 / "paths.csv").read_text().startswith("path,t,age\n")
 
     def test_simulate_draws_once(self, config_path, tmp_path, monkeypatch):
-        # Chunks of 300 paths, with paths.csv's 700 paths spanning three.
-        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 300)
+        # A budget of 1200 floats: chunks of 300 paths of 4 packets, with
+        # paths.csv's 700 paths spanning three.
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 1200)
         sample_driver, calls = simulate.sample_driver, []
 
         def counted(*args, **kwargs):

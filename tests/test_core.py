@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aoi_lab import core
 from aoi_lab.core import (
     CcdfGrid,
     GenerationSchedule,
@@ -27,6 +28,7 @@ from aoi_lab.links import (
 from aoi_lab.orthant import QuadratureSpec
 from aoi_lab.outputs import aoi_support, exact_ccdf_grid
 from aoi_lab.simulate import sample_driver
+from oracles import cell_exceedance_counts
 
 
 def aoi_path(delays, schedule, t_grid):
@@ -364,6 +366,36 @@ class TestExceedanceCounts:
         with pytest.raises(ValueError) as counted:
             exceedance_counts(delays, schedule, t_grid, [1.0])
         assert str(counted.value) == str(dense.value)
+
+
+class TestCountKernel:
+    """Both ways of counting arrivals, one count per grid time over short
+    rows and one per (packet, time) cell over long ones, against the cell
+    loop of the whole kernel: the integer counts agree exactly."""
+
+    @pytest.fixture(params=[1, 1 << 62], ids=["cells", "per-time"])
+    def branch(self, request, monkeypatch):
+        monkeypatch.setattr(core, "_CELL_COUNT_PATHS", request.param)
+
+    def check(self, delays, schedule, t_grid, x_grid):
+        above, infinite = exceedance_counts(delays, schedule, t_grid, x_grid)
+        want_above, want_infinite = cell_exceedance_counts(delays, schedule, t_grid, x_grid)
+        assert above.dtype == infinite.dtype == np.int64
+        assert np.array_equal(above, want_above)
+        assert np.array_equal(infinite, want_infinite)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 500])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    def test_equals_cell_loop(self, branch, n_paths, tau):
+        # Delays on a quarter-unit lattice with zeros, so arrivals tie with
+        # grid times and ages with x; t = 0 and a repeated t; one-path and
+        # two-path chunks.
+        t_grid = TestExceedanceCounts.T_GRID
+        n_packets = decompose_time(t_grid[-1], tau).k + 2
+        rng = np.random.Generator(np.random.Philox(17))
+        delays = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 3.75, 9.0], size=(n_paths, n_packets))
+        x_grid = [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 1e9, np.inf]
+        self.check(delays, GenerationSchedule(tau), t_grid, x_grid)
 
 
 class TestAoiSupport:

@@ -27,6 +27,7 @@ from aoi_lab.links import (
 )
 from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 from aoi_lab.outputs import ccdf_profile
+from oracles import bisect
 
 # Reference values computed with independent adaptive-quadrature oracles
 # (nested root-finds over direct moment integrals; 2-D integration for the
@@ -57,7 +58,7 @@ class TestBisect:
         def f(x):
             return x**3 - c
 
-        x = _bisect(f, np.array([0.0, 1.0, -2.0]), np.array([1.0, 2.0, 3.0]))
+        x = bisect(f, np.array([0.0, 1.0, -2.0]), np.array([1.0, 2.0, 3.0]))
         assert x.shape == (3,)
         # Each root to adjacent floats: f changes sign between x's
         # predecessor and x.
@@ -71,6 +72,28 @@ class TestBisect:
     def test_finds_a_root_at_either_end_of_the_bracket(self):
         assert _bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
         assert _bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_scalar_and_array_forms_agree_bit_for_bit(self):
+        # The calibrations' and the percentile bracket's root-finds, each
+        # by the scalar form and by the elementwise oracle on a 0-d bracket.
+        cases = [
+            (lambda z, p=p: 1.0 - p - std_normal_tail(z), -10.0, 10.0)
+            for p in (0.5, 0.9, 0.99, 0.999)
+        ]
+        for link in (lognormal_link(), censored_link()):
+            var = lag_covariance(link, 1.0)
+            for c in (0.1, 1.0, 10.0):
+                rho_c = math.exp(-c)
+                cases.append(
+                    (lambda r, link=link, rc=rho_c: lag_covariance(link, r) / var - rc,
+                     1e-12, 1.0 - 1e-12)
+                )
+        cases.append((lambda x: x**3 - 2.0, 0.0, 2.0))
+        cases.append((lambda x: x - 1.0, 1.0, 2.0))
+        for f, lo, hi in cases:
+            x = _bisect(f, lo, hi)
+            assert type(x) is float
+            assert x.hex() == bisect(f, lo, hi).hex()
 
 
 class TestLinkValidation:
@@ -102,6 +125,22 @@ class TestApplyInverse:
         assert g_apply(link, 1.0) == pytest.approx(
             CENSORED_MU_HAT + CENSORED_S_HAT, rel=1e-14
         )
+
+    @pytest.mark.parametrize("link", [lognormal_link(), censored_link()], ids=["lognormal", "censored"])
+    def test_in_place_link_is_bit_identical(self, link):
+        # The whole-array formula, against the result written into a fresh
+        # array, into z itself, and for 0-d and scalar z.
+        z = np.random.Generator(np.random.Philox(2)).standard_normal((300, 7))
+        if link.kind == SHIFTED_LOGNORMAL:
+            ref = link.x_min + np.exp(link.mu_hat + link.s_hat * z)
+        else:
+            ref = np.maximum(link.x_min, link.mu_hat + link.s_hat * z)
+        assert g_apply(link, z).tobytes() == ref.tobytes()
+        work = z.copy()
+        assert g_apply(link, work, out=work) is work
+        assert work.tobytes() == ref.tobytes()
+        assert g_apply(link, z.T).tobytes() == ref.T.tobytes()
+        assert g_apply(link, np.asarray(z[0, 0])) == g_apply(link, float(z[0, 0])) == ref[0, 0]
 
     def test_inverse_below_endpoint_is_minus_infinity(self):
         assert g_inverse(lognormal_link(), 0.5) == -np.inf

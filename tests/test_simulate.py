@@ -95,6 +95,13 @@ class TestDriverModes:
         assert z.shape == (300, n)
         assert z.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("kind", ["iid", "ou", "frozen"])
+    def test_draws_into_out_bit_for_bit(self, kind):
+        model = make_model(kind)
+        out = np.full((40, 9), np.nan)
+        assert sample_driver(model, 9, rng(3), 40, out=out) is out
+        assert out.tobytes() == sample_driver(model, 9, rng(3), 40).tobytes()
+
     def test_delay_paths_respect_left_endpoint(self):
         model = make_model()
         delays = g_apply(model.link, sample_driver(model, 11, rng(5), n_paths=100))
@@ -155,12 +162,13 @@ class TestStreamedCcdf:
     @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("kind", ["iid", "ou", "frozen", "censored-zero"])
     def test_byte_identical_to_dense_indicator_mean(self, monkeypatch, kind, tau):
-        # A partial last chunk; t = 0, a repeated t and generation instants;
-        # x negative, on the age lattice t - n*tau (ties), 1e9, which only
-        # infinite ages exceed, and +inf, which none does.  censored-zero
-        # delays are 0 with probability 0.42, so arrivals fall exactly on t.
-        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 1 << 12)
-        n_paths = 2 * simulate._CHUNK_PATHS + 1
+        # A budget of 4096 paths' packets: a partial last chunk; t = 0, a
+        # repeated t and generation instants; x negative, on the age lattice
+        # t - n*tau (ties), 1e9, which only infinite ages exceed, and +inf,
+        # which none does.  censored-zero delays are 0 with probability
+        # 0.42, so arrivals fall exactly on t.
+        chunk = 1 << 12
+        n_paths = 2 * chunk + 1
         t_grid = [0.0, 0.5, 2.0, 2.0, 2.5, 4.0, 5.5]
         x_grid = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.5, 4.5, 1e9, math.inf]
         if kind == "censored-zero":
@@ -169,6 +177,7 @@ class TestStreamedCcdf:
         else:
             model = make_model(kind, tau=tau)
         cfg = SimConfig(model, n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", chunk * simulate._n_packets(cfg))
         # The dense oracle: one draw of every path from the same seed.
         z = sample_driver(model, simulate._n_packets(cfg), rng(13), n_paths)
         ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
@@ -192,8 +201,9 @@ class TestStreamedCcdf:
 
     @pytest.mark.parametrize("n_saved", [0, 3, 4, 6, 11])
     def test_saved_ages_are_the_leading_paths(self, monkeypatch, n_saved):
-        # Chunks of 4 paths: saving stops inside, at and past a chunk's end.
-        monkeypatch.setattr(simulate, "_CHUNK_PATHS", 4)
+        # A budget of 27 floats, chunks of 4 paths of 6 packets: saving
+        # stops inside, at and past a chunk's end.
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 27)
         model = make_model()
         cfg = SimConfig(model, 11, seed=5, t_grid=[0.5, 2.5, 5.5], x_grid=[1.0])
         z = sample_driver(model, 6, rng(5), 11)
@@ -208,11 +218,32 @@ class TestStreamedCcdf:
         with pytest.raises(ValueError):
             simulate_empirical_ccdf(cfg, n_saved=n_saved)
 
+    def test_one_path_chunks_below_a_paths_packets(self, monkeypatch):
+        # A budget of 5 floats holds less than one path of 6 packets: each
+        # chunk is one path, and the counts and ages are those of one chunk
+        # of all 40.
+        cfg = SimConfig(make_model(), 40, seed=4, t_grid=[0.0, 2.5, 2.5, 5.5],
+                        x_grid=[0.0, 0.5, 1.5, 3.0])
+        whole = simulate_empirical_ccdf(cfg, n_saved=40)
+        sizes, sample = [], simulate.sample_driver
+
+        def counted(model, n, rng, n_paths, **kwargs):
+            sizes.append(n_paths)
+            return sample(model, n, rng, n_paths, **kwargs)
+
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 5)
+        monkeypatch.setattr(simulate, "sample_driver", counted)
+        split = simulate_empirical_ccdf(cfg, n_saved=40)
+        assert sizes == [1] * 40
+        assert np.array_equal(split.grid.p, whole.grid.p)
+        assert np.array_equal(split.n_infinite, whole.n_infinite)
+        assert np.array_equal(split.ages, whole.ages)
+
     @staticmethod
-    def readme_peak(n_paths):
+    def readme_peak(n_paths, tau=2.0):
         """tracemalloc peak of simulating the README config: c = 10,
-        tau = 2, 20 times by 501 x values."""
-        model = make_model(kappa=calibrate_kappa(make_model().link, 10.0), tau=2.0)
+        tau = 2 (6 packets a path), 20 times by 501 x values."""
+        model = make_model(kappa=calibrate_kappa(make_model().link, 10.0), tau=tau)
         t_grid = np.arange(1, 21) * 0.5
         x_grid = np.arange(501) * 0.02
         cfg = SimConfig(model, n_paths, seed=3, t_grid=t_grid, x_grid=x_grid)
@@ -224,11 +255,18 @@ class TestStreamedCcdf:
             tracemalloc.stop()
 
     def test_memory_does_not_grow_with_paths(self):
-        chunk = simulate._CHUNK_PATHS
+        # The budget's paths at README's 6 packets a path.
+        chunk = simulate._CHUNK_FLOATS // 6
         assert self.readme_peak(4 * chunk) <= 1.5 * self.readme_peak(chunk)
 
     def test_readme_peak_builds_no_ages(self):
-        # README's 100k paths hold a chunk's draw, its delays and one copy
-        # of them: about 10 MB.  A chunk's 20 columns of ages and their
-        # sorted copy took 26.5 MB.
+        # README's 100k paths hold a chunk's delays and one copy of them:
+        # about 2.8 MB.  A chunk's 20 columns of ages and
+        # their sorted copy took 26.5 MB.
         assert self.readme_peak(100_000) <= 13e6
+
+    def test_memory_does_not_grow_as_one_over_tau(self):
+        # At tau = 0.05 a path has 201 packets, not 6, and a chunk holds
+        # fewer paths: the same budget of floats, 2.4 MB against 2.8 MB.
+        # Chunks of a fixed 65 536 paths peaked at 316 MB.
+        assert self.readme_peak(100_000, tau=0.05) <= 1.5 * self.readme_peak(100_000)
