@@ -13,7 +13,7 @@ _WORK_FLOATS floats.
 Every quadrature, here and in the censored-normal lag integral of links,
 applies one Gauss-Legendre rule of _PANEL_ORDER nodes on panels (_panels).
 The limits rho = 0 and rho = 1 have closed forms, which
-outputs.ccdf_profile writes out.
+outputs.ccdf_profiles writes out.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ By stationarity (and time-reversibility of the Gauss-Markov chain) that
 probability depends on (t, x) only through the phase phi_t and the block
 length n, so the whole law of A_t at phase phi is the profile
 Q_phi[0..n] from ccdf_profiles, the single exact primitive every report
-here reads.  Grid cells are grouped into phase classes, and the classes
-advance through one batched chain sweep whose prefixes yield every block
-length at once.  The time average is the exact phase integral of the profiles:
+here reads and its one batched entry: it cuts the phases into chunks,
+runs them on the thread pool and sweeps each chunk's chain once, whose
+prefixes yield every block length.  Grid cells share one profile per
+phase class.  The time average is the exact phase integral of the profiles:
 Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
 integrated in closed form.  Percentiles invert it by false position on
 those same pieces, to adjacent floats.
@@ -67,6 +68,7 @@ def ccdf_profiles(
     phis: Sequence[float],
     n_max,
     spec: QuadratureSpec,
+    threads: int = 1,
 ) -> np.ndarray:
     """Plateau values Q_phi[0..n_max] of the AoI CCDF at each phase phi,
     one row per phase, shape (P, max(n_max) + 1).
@@ -76,10 +78,15 @@ def ccdf_profiles(
     phi), j = 0..n-1; Q_phi[0] = 1.  n_max is one block length for every
     phase or one per phase; a row is 0 past its own.  At rho = 0 a row is a
     product of marginal tails, at rho = 1 the tail of the largest
-    threshold; otherwise the phases advance in lockstep through one OuChain
-    batch (thresholds in non-decreasing order, valid by time-reversibility),
-    which yields every prefix length as a byproduct.  Phases whose
-    thresholds reach L run in a batch of their own grown spec.
+    threshold.  Otherwise the phases are cut, in order, into chunks of
+    orthant.batch_size phases, or of one where no full-span stage fits the
+    node budget, so the first live phase's chain names the failure.  A
+    chunk's phases advance in lockstep through one OuChain batch
+    (thresholds in non-decreasing order, valid by time-reversibility),
+    which yields every prefix length as a byproduct, and those whose
+    thresholds reach L in a batch of their own grown spec.  Up to `threads`
+    worker threads run the chunks, which depend on the phases and the spec
+    alone, so outputs do not depend on `threads`.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     n_max = np.broadcast_to(np.asarray(n_max, dtype=int), phis.shape)
@@ -103,23 +110,38 @@ def ccdf_profiles(
     a[np.logical_or.accumulate(std_normal_tail(a) < _TAIL_FLOOR, axis=1)] = np.inf
     n_alive = np.sum(a < np.inf, axis=1)
     top = np.max(a, axis=1, where=a < np.inf, initial=-np.inf)
-    batches: dict[QuadratureSpec, list[int]] = {}
-    for row, t in enumerate(top.tolist()):
-        if t >= spec.L:
-            grow = t + 4.0
-            key = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
-        else:
-            key = spec
-        batches.setdefault(key, []).append(row)
     q[:, 1:] = 0.0
-    for batch_spec, rows in batches.items():
-        chain = OuChain(rho, batch_spec)
-        for j in range(int(n_alive[rows].max())):
-            try:
-                q[rows, j + 1] = chain.extend(a[rows, j])
-            except QuadratureError as exc:
-                phase = rows[exc.phase]
-                raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
+    try:
+        size = batch_size(rho, spec)
+    except QuadratureError:
+        size = 1
+
+    def run(start: int) -> None:
+        batches: dict[QuadratureSpec, list[int]] = {}
+        for row, t in enumerate(top[start : start + size].tolist(), start):
+            if t >= spec.L:
+                grow = t + 4.0
+                key = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
+            else:
+                key = spec
+            batches.setdefault(key, []).append(row)
+        for batch_spec, rows in batches.items():
+            chain = OuChain(rho, batch_spec)
+            for j in range(int(n_alive[rows].max())):
+                try:
+                    q[rows, j + 1] = chain.extend(a[rows, j])
+                except QuadratureError as exc:
+                    phase = rows[exc.phase]
+                    raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
+
+    starts = range(0, phis.size, size)
+    if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        list(map(run, starts))
     return q
 
 
@@ -132,40 +154,6 @@ def ccdf_profile(
     """Plateau values Q[0..n_max] of the AoI CCDF at phase phi: the
     ccdf_profiles batch of one."""
     return ccdf_profiles(model, [phi], n_max, spec)[0]
-
-
-def _profiles(
-    model: DelayModel,
-    phis: Sequence[float],
-    n_max,
-    spec: QuadratureSpec,
-    threads: int,
-) -> np.ndarray:
-    """ccdf_profiles at the phases phis, in order, in chunks of
-    orthant.batch_size phases run on a pool of up to `threads` worker
-    threads.  The chunks depend on the phases and the spec alone, and the
-    pool only decides which worker runs each, so outputs do not depend on
-    `threads`."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    n_max = np.broadcast_to(np.asarray(n_max, dtype=int), phis.shape)
-    rho = model.step_correlation()
-    size = batch_size(rho, spec) if 0.0 < rho < 1.0 else max(phis.size, 1)
-    chunks = [slice(i, i + size) for i in range(0, phis.size, size)]
-
-    def compute(chunk: slice) -> np.ndarray:
-        return ccdf_profiles(model, phis[chunk], n_max[chunk], spec)
-
-    table = np.zeros((phis.size, int(n_max.max(initial=0)) + 1))
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(compute, chunks))
-    else:
-        parts = [compute(c) for c in chunks]
-    for chunk, part in zip(chunks, parts):
-        table[chunk, : part.shape[1]] = part
-    return table
 
 
 @dataclass(frozen=True)
@@ -232,8 +220,9 @@ def exact_ccdf_grid(
     n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
     n_max = np.zeros(keys.size, dtype=int)
     np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
-    table = _profiles(model, keys * tau, n_max, spec, threads)
-    p = table[cls[:, None], n]
+    table = ccdf_profiles(model, keys * tau, n_max, spec, threads)
+    # No age, not even the infinite one of a path with no arrival, exceeds +inf.
+    p = np.where(x_grid < np.inf, table[cls[:, None], n], 0.0)
     return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact")
 
 
@@ -313,7 +302,7 @@ class TimeAverageEvaluator:
         pieces = list(zip(self.edges, self.edges[1:]))
         phases = np.concatenate([lo + 0.5 * (hi - lo) * (nodes + 1.0) for lo, hi in pieces])
         q = np.reshape(
-            _profiles(self.model, phases, n_max, self.spec, self.threads),
+            ccdf_profiles(self.model, phases, n_max, self.spec, self.threads),
             (len(pieces), nodes.size, -1),
         )
         anti = []
@@ -335,8 +324,8 @@ class TimeAverageEvaluator:
         """F_avg at x, a scalar or an array; the profiles grow once to the
         longest block the largest x needs."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < 0):
-            raise ValueError(f"x must be non-negative, got {x}")
+        if not np.all((xs >= 0) & (xs < np.inf)):
+            raise ValueError(f"x must be finite and non-negative, got {x}")
         tau = self.model.schedule.tau
         j = np.floor(xs / tau).astype(int)
         phi = np.clip(xs - j * tau, 0.0, tau)

@@ -27,9 +27,9 @@ def tiny_exact_calls(tmp_path, monkeypatch):
     batches, stages = [], []
     profiles, extend = outputs.ccdf_profiles, orthant.OuChain.extend
 
-    def counted_profiles(model, phis, n_max, spec):
+    def counted_profiles(model, phis, n_max, spec, threads):
         batches.append(list(phis))
-        return profiles(model, phis, n_max, spec)
+        return profiles(model, phis, n_max, spec, threads)
 
     def counted_extend(chain, a):
         stages.append(chain.rho)

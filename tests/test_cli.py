@@ -15,6 +15,7 @@ from aoi_lab import cli, simulate
 from aoi_lab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CALIBRATION,
+    EXIT_EVALUATION,
     EXIT_OK,
     EXIT_PARTIAL_SWEEP,
     EXIT_USAGE,
@@ -255,6 +256,14 @@ class TestCommands:
             ) == EXIT_OK
             outs.append((out / "ccdf.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_exact_over_the_node_budget_names_the_phase(self, config_path, tmp_path, capsys):
+        # At rho = 1 - 2e-16 no full-span stage fits the node budget; the
+        # first live phase's chain reports the failure.
+        code = main(["exact", "--config", config_path, "--out", str(tmp_path / "o"),
+                     "--set", "correlation.c=null", "--set", "correlation.kappa=1e-16"])
+        assert code == EXIT_EVALUATION
+        assert re.search(r"evaluation failed: phase phi=\S+: rho=0\.99", capsys.readouterr().err)
 
     def test_exact_readme_peak(self, tmp_path):
         # The README config at two threads: the time average's 36 phases

@@ -172,19 +172,39 @@ class TestCcdfProfiles:
         with pytest.raises(QuadratureError, match=r"^phase phi=0\.7: rho=0\.99.*frozen"):
             ccdf_profiles(model, [0.1, 0.7], np.array([0, 2]), QuadratureSpec())
 
+    def test_every_exact_path_names_the_failing_phase(self):
+        # No full-span stage fits the node budget at rho = 1 - 1e-15, so
+        # the phases run in chunks of one, and the grid and the time
+        # average raise the error of the first live phase's chain.
+        model = make_model(kappa=1e-15 / 2.0)
+        with pytest.raises(QuadratureError, match=r"^phase phi=0\.5: rho=0\.99.*frozen"):
+            exact_ccdf_grid(model, [0.5, 1.0], [0.0, 3.0])
+        with pytest.raises(QuadratureError, match=r"^phase phi=0\.0\d*: rho=0\.99.*frozen"):
+            TimeAverageEvaluator(model).value(3.0)
+
     def test_profile_is_the_batch_of_one(self):
         model = make_model()
         batch = ccdf_profiles(model, [0.3, 0.7, 1.6], 6, QuadratureSpec())
         for phi, row in zip([0.3, 0.7, 1.6], batch):
             assert np.max(np.abs(ccdf_profile(model, phi, 6, QuadratureSpec()) - row)) <= 1e-15
 
-    def test_outputs_are_byte_identical_across_threads(self, monkeypatch):
-        # A work array of 300 floats puts 3 phases of 100 nodes in a batch:
-        # the grid's 4 phase classes take 2 chunks and the time average's
-        # 36 phases 12, each kernel built one row at a time.
-        model = make_model()
+    @pytest.mark.parametrize("case", ["readme", "grown"])
+    def test_outputs_are_byte_identical_across_threads(self, monkeypatch, case):
+        # README: a work array of 300 floats puts 3 phases of 100 nodes in
+        # a batch: the grid's 4 phase classes take 2 chunks and the time
+        # average's 36 phases 12, each kernel built one row at a time.
+        # Grown: at L = 4 the thresholds j + phi reach L from the fifth
+        # packet on, and a work array of 40 floats puts one phase of 40
+        # nodes in a batch, so each of the grid's 2 phase classes and the
+        # time average's 36 phases runs in a chunk of its own, on its own
+        # grown spec where its thresholds reach L.
+        if case == "readme":
+            model, spec, work, size = make_model(), QuadratureSpec(), 300, 3
+        else:
+            link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
+            model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
+            spec, work, size = QuadratureSpec(m=64, L=4.0), 40, 1
         t_grid, x_grid = np.arange(0.5, 10.0, 0.5), np.arange(0.0, 10.0, 0.1)
-        spec = QuadratureSpec()
 
         def run(threads):
             grid = exact_ccdf_grid(model, t_grid, x_grid, spec, threads=threads)
@@ -193,8 +213,8 @@ class TestCcdfProfiles:
             return grid.p, ev.value(x_grid), pct
 
         whole = run(1)
-        monkeypatch.setattr(orthant, "_WORK_FLOATS", 300)
-        assert orthant.batch_size(model.step_correlation(), spec) == 3
+        monkeypatch.setattr(orthant, "_WORK_FLOATS", work)
+        assert orthant.batch_size(model.step_correlation(), spec) == size
         chunked = [run(threads) for threads in (1, 2, 4)]
         for arrays in chunked[1:]:
             for got, ref in zip(arrays, chunked[0]):
@@ -245,9 +265,9 @@ class TestExactCcdfGrid:
         calls = []
         real = outputs.ccdf_profiles
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(model, phis, n_max, spec, threads):
+            calls.append((model, phis, n_max, spec))
+            return real(model, phis, n_max, spec, threads)
 
         monkeypatch.setattr(outputs, "ccdf_profiles", counted)
         grid = exact_ccdf_grid(model, t_grid, x_grid)
@@ -351,6 +371,10 @@ class TestTimeAverage:
     def test_rejects_negative_age(self):
         with pytest.raises(ValueError):
             TimeAverageEvaluator(make_model()).value(-1.0)
+        # NaN and infinite ages too, by name, before any index is cast.
+        for x in (math.nan, math.inf, -math.inf, [1.0, math.nan]):
+            with pytest.raises(ValueError, match=r"^x must be finite and non-negative, got "):
+                TimeAverageEvaluator(make_model()).value(x)
 
     def test_converges_in_chebyshev_degree(self, monkeypatch):
         # The README model (c = 10): the pieces' interpolants have converged
@@ -403,9 +427,9 @@ class TestPercentiles:
         phases = []
         profiles = outputs.ccdf_profiles
 
-        def counted(model, phis, n_max, spec):
+        def counted(model, phis, n_max, spec, threads):
             phases.extend(phis)
-            return profiles(model, phis, n_max, spec)
+            return profiles(model, phis, n_max, spec, threads)
 
         monkeypatch.setattr(outputs, "ccdf_profiles", counted)
         for threads in (1, 2):

@@ -137,6 +137,18 @@ class TestEmpiricalCcdf:
         emp = simulate_empirical_ccdf(cfg)
         assert np.allclose(emp.grid.p[:, 0] * cfg.n_paths, emp.n_infinite)
 
+    def test_no_age_exceeds_infinity(self):
+        # Never-updated paths exceed x = 1e300 but not x = +inf, in the
+        # exact grid as in the simulated one.
+        model = make_model()
+        t_grid, x_grid = [1.0, 3.0], [0.0, 1e300, np.inf]
+        cfg = SimConfig(model, n_paths=5000, seed=8, t_grid=t_grid, x_grid=x_grid)
+        emp = simulate_empirical_ccdf(cfg)
+        exact = exact_ccdf_grid(model, t_grid, x_grid)
+        assert np.all(exact.p[:, 1] > 0) and np.all(emp.grid.p[:, 1] > 0)
+        assert np.array_equal(exact.p[:, 2], emp.grid.p[:, 2])
+        assert np.all(exact.p[:, 2] == 0.0)
+
     def test_deterministic_in_seed(self):
         cfg = SimConfig(make_model(), n_paths=500, seed=42, t_grid=[2.5], x_grid=[1.0])
         a = simulate_empirical_ccdf(cfg)
