@@ -13,7 +13,6 @@ from aoi_lab import (
     DelayModel,
     GenerationSchedule,
     LinkFunction,
-    SimConfig,
     exact_ccdf_grid,
     simulate_empirical_ccdf,
 )
@@ -29,9 +28,7 @@ x_grid = np.arange(0.2, 10.2, 0.2)
 n_paths = 100_000
 
 exact = exact_ccdf_grid(model, t_grid, x_grid, threads=2)
-emp = simulate_empirical_ccdf(
-    SimConfig(model, n_paths=n_paths, seed=11, t_grid=t_grid, x_grid=x_grid)
-)
+emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths=n_paths, seed=11)
 
 diff = np.abs(exact.p - emp.grid.p)
 se = np.sqrt(exact.p * (1.0 - exact.p) / n_paths)

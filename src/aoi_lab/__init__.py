@@ -7,7 +7,6 @@ __version__ = "1.0.0"
 from .core import (
     CcdfGrid,
     GenerationSchedule,
-    TimeDecomposition,
     aoi_path_matrix,
     block_length,
     decompose_time,
@@ -55,7 +54,6 @@ from .outputs import (
 )
 from .simulate import (
     EmpiricalCcdf,
-    SimConfig,
     sample_driver,
     simulate_empirical_ccdf,
 )
@@ -77,7 +75,6 @@ __all__ = [
     # core
     "CcdfGrid",
     "GenerationSchedule",
-    "TimeDecomposition",
     "aoi_path_matrix",
     "block_length",
     "decompose_time",
@@ -125,7 +122,6 @@ __all__ = [
     "write_timeavg_csv",
     # simulate
     "EmpiricalCcdf",
-    "SimConfig",
     "sample_driver",
     "simulate_empirical_ccdf",
     # cli

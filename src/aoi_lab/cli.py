@@ -49,7 +49,7 @@ from .outputs import (
     write_percentiles_csv,
     write_timeavg_csv,
 )
-from .simulate import SimConfig, simulate_empirical_ccdf
+from .simulate import simulate_empirical_ccdf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +70,8 @@ class GridRange:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise UsageError(f"grid start, stop and step must be finite, got {self}")
         if not self.step > 0:
             raise UsageError(f"grid step must be positive, got {self.step}")
         if self.stop < self.start:
@@ -163,7 +165,7 @@ class RunConfig:
             name, convert = _CONFIG_KEYS[key]
             try:
                 kwargs[name] = convert(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, UsageError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
@@ -395,18 +397,14 @@ def cmd_exact(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     started = time.time()
     model = cfg.model()
-    sim = SimConfig(
-        model=model,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        t_grid=cfg.t_grid.values(),
-        x_grid=cfg.x_grid.values(),
-    )
+    t_values = cfg.t_grid.values()
     n_save = min(cfg.n_saved_paths, cfg.n_paths)
-    emp = simulate_empirical_ccdf(sim, n_saved=n_save)
+    emp = simulate_empirical_ccdf(
+        model, t_values, cfg.x_grid.values(), cfg.n_paths, cfg.seed, n_saved=n_save
+    )
     out = cfg.out
     write_ccdf_csv(emp.grid, os.path.join(out, "empirical_ccdf.csv"), stderr=emp.stderr)
-    p, t = np.meshgrid(np.arange(n_save), sim.t_grid, indexing="ij")
+    p, t = np.meshgrid(np.arange(n_save), t_values, indexing="ij")
     _write_table(os.path.join(out, "paths.csv"), "path,t,age", p, t, emp.ages)
     write_meta_json(_meta(cfg, "simulate", started), os.path.join(out, "meta.json"))
     return EXIT_OK
@@ -419,15 +417,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     t_values = cfg.t_grid.values()
     x_values = cfg.x_grid.values()
     grid = exact_ccdf_grid(model, t_values, x_values, spec, threads=cfg.threads)
-    emp = simulate_empirical_ccdf(
-        SimConfig(
-            model=model,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            t_grid=t_values,
-            x_grid=x_values,
-        )
-    )
+    emp = simulate_empirical_ccdf(model, t_values, x_values, cfg.n_paths, cfg.seed)
     diff = np.abs(grid.p - emp.grid.p)
     se = np.sqrt(grid.p * (1.0 - grid.p) / cfg.n_paths)
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(se, 1e-300))

@@ -2,11 +2,12 @@
 
 A source emits packet n at time n*tau; packet n reaches the monitor after
 a delay D_n.  The age at time t is t minus the generation time of the
-newest packet that has arrived.  Writing t = k*tau + phi, the event
-{A_t > x} is {the n most recent packets are all late}, with n given by
-block_length; its probability is a plateau value of the phase profile
-computed in outputs.  This module holds that bookkeeping, the sample-path
-age evaluation used by the simulator, and the CCDF grid container.
+newest packet that has arrived.  Writing t = k*tau + phi (decompose_time,
+for one time or a whole grid), the event {A_t > x} is {the n most recent
+packets are all late}, with n given by block_length; its probability is a
+plateau value of the phase profile computed in outputs.  This module holds
+that bookkeeping, the sample-path age evaluation and arrival counting used
+by the simulator, and the CCDF grid container.
 """
 
 from __future__ import annotations
@@ -40,33 +41,27 @@ class GenerationSchedule:
             raise ValueError(f"tau must be a positive finite number, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class TimeDecomposition:
-    """Index of the latest generated packet and the phase within the slot."""
-
-    t: float
-    k: int
-    phi: float
-
-
-def decompose_time(t: float, tau: float) -> TimeDecomposition:
-    """Split t into (k, phi) with t = k*tau + phi and 0 <= phi < tau.
+def decompose_time(t, tau: float):
+    """Split t into (k, phi) with t = k*tau + phi and 0 <= phi < tau: an int
+    and a float for a scalar t, an integer and a float array for an array.
 
     Phases within a relative tolerance of the slot boundary are snapped to
     the boundary, since downstream branches are discontinuous there.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite non-negative number, got {t}")
+    ts = np.asarray(t, dtype=float)
+    bad = ~((ts >= 0) & (ts < np.inf))
+    if bad.any():
+        raise ValueError(f"t must be a finite non-negative number, got {ts[bad].flat[0]}")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be a positive finite number, got {tau}")
-    k = int(math.floor(t / tau))
-    phi = t - k * tau
-    if phi >= tau * (1.0 - _PHASE_RTOL):
-        k += 1
-        phi = 0.0
-    elif phi < 0.0:
-        phi = 0.0
-    return TimeDecomposition(t=t, k=k, phi=phi)
+    k = np.floor(ts / tau)
+    if not np.all(k < 2.0**62):
+        raise ValueError(f"t/tau must be below 2**62, got t={ts.max()} at tau={tau}")
+    phi = ts - k * tau
+    up = phi >= tau * (1.0 - _PHASE_RTOL)
+    k = (k + up).astype(int)
+    phi = np.where(up | (phi < 0.0), 0.0, phi)
+    return (int(k), float(phi)) if ts.ndim == 0 else (k, phi)
 
 
 def block_length(x, phi, tau: float, k=None):
@@ -87,10 +82,11 @@ def block_length(x, phi, tau: float, k=None):
 
 def _checked_paths(
     delays, schedule: GenerationSchedule, t_grid: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """delays as a 2-D float array, one row per path, and t_grid as a float
-    array, once the delays are finite and non-negative, t_grid ascends and
-    the delays cover every packet generated by its last time."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delays as a 2-D float array, one row per path, t_grid as a float
+    array and the slot k of each of its times, once the delays are finite
+    and non-negative, t_grid ascends and the delays cover every packet
+    generated by its last time."""
     delays = np.atleast_2d(np.asarray(delays, dtype=float))
     # One reduction pair, no boolean temporaries: a NaN fails both tests.
     if delays.size and not (delays.min() >= 0 and delays.max() < np.inf):
@@ -99,12 +95,10 @@ def _checked_paths(
     if t_grid.size and np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted ascending")
     n_packets = delays.shape[1]
-    k_max = decompose_time(float(t_grid[-1]), schedule.tau).k if t_grid.size else -1
-    if k_max >= n_packets:
-        raise ValueError(
-            f"delays cover {n_packets} packets but the horizon needs {k_max + 1}"
-        )
-    return delays, t_grid
+    k = decompose_time(t_grid, schedule.tau)[0]
+    if k.size and k[-1] >= n_packets:
+        raise ValueError(f"delays cover {n_packets} packets but the horizon needs {k[-1] + 1}")
+    return delays, t_grid, k
 
 
 def aoi_path_matrix(
@@ -118,13 +112,12 @@ def aoi_path_matrix(
     (n_paths, len(t_grid)) with +inf where no packet has arrived yet.
     Arrival ties (arrival time exactly t) count as arrived.
     """
-    delays, t_grid = _checked_paths(delays, schedule, t_grid)
+    delays, t_grid, ks = _checked_paths(delays, schedule, t_grid)
     tau = schedule.tau
     n_packets = delays.shape[1]
     beta = np.arange(n_packets) * tau + delays
     ages = np.empty((delays.shape[0], t_grid.size))
-    for j, t in enumerate(t_grid):
-        k = min(decompose_time(float(t), tau).k, n_packets - 1)
+    for j, (k, t) in enumerate(zip(np.minimum(ks, n_packets - 1).tolist(), t_grid)):
         arrived = beta[:, : k + 1] <= t
         any_arrived = arrived.any(axis=1)
         latest = k - np.argmax(arrived[:, ::-1], axis=1)
@@ -168,14 +161,13 @@ def arrival_counts(
     delays, and with fewer than _CELL_COUNT_PATHS paths one boolean per
     delay.
     """
-    delays, t_grid = _checked_paths(delays, schedule, t_grid)
+    delays, t_grid, k = _checked_paths(delays, schedule, t_grid)
     tau = schedule.tau
     n_paths, n_packets = delays.shape
     # Packet i counts at t only once decompose_time puts i among the packets
     # generated by t, as in aoi_path_matrix.  Far out, i*tau can round to at
     # or below a t that decompose_time puts in slot i - 1; so the arrival
     # moves up to the first grid time that has generated the packet.
-    k = np.array([decompose_time(float(t), tau).k for t in t_grid], dtype=int)
     first = np.searchsorted(k, np.arange(n_packets))
     generated = np.append(t_grid, np.inf)[first]
     # One row per packet, so the suffix minimum runs down contiguous rows.
@@ -229,14 +221,11 @@ class CcdfGrid:
     t_values: np.ndarray
     x_values: np.ndarray
     p: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.t_values = np.asarray(self.t_values, dtype=float)
         self.x_values = np.asarray(self.x_values, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
-        if self.kind not in ("exact", "empirical"):
-            raise ValueError(f"kind must be 'exact' or 'empirical', got {self.kind!r}")
         if self.p.shape != (self.t_values.size, self.x_values.size):
             raise ValueError("p must have shape (len(t_values), len(x_values))")
         if np.any(self.p < -1e-12) or np.any(self.p > 1 + 1e-12):

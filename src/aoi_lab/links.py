@@ -56,10 +56,12 @@ class LinkFunction:
     def __post_init__(self):
         if self.kind not in (SHIFTED_LOGNORMAL, CENSORED_NORMAL):
             raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.x_min < 0:
-            raise ValueError(f"x_min must be non-negative, got {self.x_min}")
-        if not self.s_hat > 0:
-            raise ValueError(f"s_hat must be positive, got {self.s_hat}")
+        if not 0 <= self.x_min < math.inf:
+            raise ValueError(f"x_min must be finite and non-negative, got {self.x_min}")
+        if not math.isfinite(self.mu_hat):
+            raise ValueError(f"mu_hat must be finite, got {self.mu_hat}")
+        if not 0 < self.s_hat < math.inf:
+            raise ValueError(f"s_hat must be finite and positive, got {self.s_hat}")
 
 
 @dataclass(frozen=True)

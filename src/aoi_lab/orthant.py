@@ -88,8 +88,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.m < 16:
             raise ValueError(f"m must be >= 16, got {self.m}")
-        if not self.L >= 4:
-            raise ValueError(f"L must be >= 4, got {self.L}")
+        if not 4 <= self.L < math.inf:
+            raise ValueError(f"L must be finite and >= 4, got {self.L}")
 
 
 def _panels(edges) -> tuple[np.ndarray, np.ndarray]:

@@ -160,7 +160,6 @@ def ccdf_profile(
 class AoiSupport:
     """Finite support of A_t: candidate ages n*tau + phi_t plus infinity."""
 
-    t: float
     atoms: np.ndarray
     masses: np.ndarray
     p_infinity: float
@@ -184,14 +183,12 @@ def aoi_support(
     """
     spec = spec if spec is not None else QuadratureSpec()
     tau = model.schedule.tau
-    dec = decompose_time(t, tau)
-    k, phi = dec.k, dec.phi
+    k, phi = decompose_time(t, tau)
     c = ccdf_profile(model, phi, k + 1, spec)
     x_min = model.link.x_min
     j_star = next((j for j in range(k + 1) if x_min <= j * tau + phi), k + 1)
     ns = np.arange(j_star, k + 1)
     return AoiSupport(
-        t=t,
         atoms=ns * tau + phi,
         masses=np.clip(c[ns] - c[ns + 1], 0.0, None),
         p_infinity=float(c[k + 1]),
@@ -210,12 +207,14 @@ def exact_ccdf_grid(
     spec = spec if spec is not None else QuadratureSpec()
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
+    nan = np.flatnonzero(np.isnan(x_grid))
+    if nan.size:
+        raise ValueError(f"x_grid must not hold NaN, got one at index {nan[0]}")
     if np.any(np.diff(t_grid) < 0) or np.any(np.diff(x_grid) < 0):
         raise ValueError("grids must be sorted ascending")
     tau = model.schedule.tau
-    decs = [decompose_time(float(t), tau) for t in t_grid]
-    keys, cls = np.unique([_phase_key(d.phi, tau) for d in decs], return_inverse=True)
-    k = np.array([d.k for d in decs], dtype=int)
+    k, phi = decompose_time(t_grid, tau)
+    keys, cls = np.unique([_phase_key(p, tau) for p in phi.tolist()], return_inverse=True)
     # Every cell's block length at its phase class, and each class's longest.
     n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
     n_max = np.zeros(keys.size, dtype=int)
@@ -223,7 +222,7 @@ def exact_ccdf_grid(
     table = ccdf_profiles(model, keys * tau, n_max, spec, threads)
     # No age, not even the infinite one of a path with no arrival, exceeds +inf.
     p = np.where(x_grid < np.inf, table[cls[:, None], n], 0.0)
-    return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p, kind="exact")
+    return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p)
 
 
 @dataclass
@@ -233,7 +232,6 @@ class HeatmapGrid:
     t_values: np.ndarray
     x_values: np.ndarray
     mass: np.ndarray
-    delta: float
 
 
 def heatmap(grid: CcdfGrid, delta: float) -> HeatmapGrid:
@@ -264,7 +262,6 @@ def heatmap(grid: CcdfGrid, delta: float) -> HeatmapGrid:
         t_values=grid.t_values,
         x_values=x[:-lag],
         mass=np.clip(mass, 0.0, None),
-        delta=delta,
     )
 
 
@@ -287,7 +284,7 @@ class TimeAverageEvaluator:
         self.threads = threads
         tau = model.schedule.tau
         # decompose_time snaps b: 0.5 % 0.1 is 0.09999999999999998, not 0.
-        b = decompose_time(model.link.x_min, tau).phi
+        b = decompose_time(model.link.x_min, tau)[1]
         graded = b + (tau - b) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, -1, -1)
         self.edges = np.concatenate(([0.0, b] if b > 0 else [0.0], graded[:-1], [tau]))
         # Set by _grow: G per piece as Chebyshev coefficients (degree + 2,

@@ -9,7 +9,7 @@ each x.  The age at t is t - L*tau for the newest arrived packet L, so the
 counts are read off the arrival lattice (core.exceedance_counts) without
 building per-path ages: each chunk of paths adds its arrival counts, and
 the ages above each x are tallied once from their sum.  The chunks are
-drawn from one Philox generator seeded with the configured seed, and each
+drawn from one Philox generator seeded with the caller's seed, and each
 holds about _CHUNK_FLOATS floats of draws, so memory grows neither with
 the number of paths nor with the packets per path (a long horizon or a
 fine tau).  The draw is path-major and becomes the delays in place, so the
@@ -19,14 +19,13 @@ its first paths on request; that is what the CLI saves as paths.csv.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import math
-
 import numpy as np
 
-from .core import CcdfGrid, aoi_path_matrix, arrival_counts, counts_above
+from .core import CcdfGrid, aoi_path_matrix, arrival_counts, counts_above, decompose_time
 from .links import DelayModel, g_apply
 
 # Draws held at once by simulate_empirical_ccdf: each chunk has
@@ -35,25 +34,6 @@ from .links import DelayModel, g_apply
 # about 17 * _CHUNK_FLOATS bytes; the draws do not depend on it.  Smaller
 # budgets spend more time per path in numpy calls over short rows.
 _CHUNK_FLOATS = 1 << 17
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation experiment: model, horizon, paths, grids, seed."""
-
-    model: DelayModel
-    n_paths: int
-    seed: int
-    t_grid: Sequence[float]
-    x_grid: Sequence[float]
-
-    def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-
-    @property
-    def horizon(self) -> float:
-        return float(np.max(self.t_grid))
 
 
 @dataclass
@@ -65,7 +45,6 @@ class EmpiricalCcdf:
     grid: CcdfGrid
     stderr: np.ndarray
     n_infinite: np.ndarray
-    n_paths: int
     ages: np.ndarray
 
 
@@ -103,13 +82,9 @@ def sample_driver(
     return z
 
 
-def _n_packets(config: SimConfig) -> int:
-    """Packets up to the last generation instant inside the horizon."""
-    return int(math.floor(config.horizon / config.model.schedule.tau)) + 1
-
-
 def _chunk_counts(
-    config: SimConfig,
+    model: DelayModel,
+    t_grid: np.ndarray,
     rng: np.random.Generator,
     saved: np.ndarray,
     work: np.ndarray,
@@ -117,17 +92,23 @@ def _chunk_counts(
     """core.arrival_counts of len(work) fresh paths, drawn into work, where
     the link maps them to delays in place.  Ages are built only for the
     leading paths that saved holds."""
-    model = config.model
     z = sample_driver(model, work.shape[1], rng, len(work), out=work)
     delays = g_apply(model.link, z, out=z)
     if len(saved):
-        saved[:] = aoi_path_matrix(delays[: len(saved)], model.schedule, config.t_grid)
-    return arrival_counts(delays, model.schedule, config.t_grid)
+        saved[:] = aoi_path_matrix(delays[: len(saved)], model.schedule, t_grid)
+    return arrival_counts(delays, model.schedule, t_grid)
 
 
-def simulate_empirical_ccdf(config: SimConfig, n_saved: int = 0) -> EmpiricalCcdf:
-    """Empirical Pr(A_t > x) over the configured grid, and the ages of the
-    first n_saved paths of the same draw.
+def simulate_empirical_ccdf(
+    model: DelayModel,
+    t_grid: Sequence[float],
+    x_grid: Sequence[float],
+    n_paths: int,
+    seed: int,
+    n_saved: int = 0,
+) -> EmpiricalCcdf:
+    """Empirical Pr(A_t > x) over the grid from n_paths paths drawn with
+    seed, and the ages of the first n_saved paths of the same draw.
 
     Each chunk of paths adds its arrival counts; per observation time, the
     paths whose age exceeds each x are read from their sum on the arrival
@@ -137,37 +118,27 @@ def simulate_empirical_ccdf(config: SimConfig, n_saved: int = 0) -> EmpiricalCcd
     counted per observation time.  The counts are exact integers, so p
     equals the mean of the per-path indicators bit for bit.
     """
-    if not 0 <= n_saved <= config.n_paths:
-        raise ValueError(f"n_saved must lie in [0, {config.n_paths}], got {n_saved}")
-    t_grid = np.asarray(config.t_grid, dtype=float)
-    x_grid = np.asarray(config.x_grid, dtype=float)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    n_packets = _n_packets(config)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if not 0 <= n_saved <= n_paths:
+        raise ValueError(f"n_saved must lie in [0, {n_paths}], got {n_saved}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    x_grid = np.asarray(x_grid, dtype=float)
+    rng = np.random.Generator(np.random.Philox(seed))
+    # Every packet generated by the horizon.
+    n_packets = decompose_time(t_grid.max(), model.schedule.tau)[0] + 1
     arrived = np.zeros((n_packets + 1, t_grid.size), dtype=np.int64)
     ages = np.empty((n_saved, t_grid.size))
     chunk = max(_CHUNK_FLOATS // n_packets, 1)
     # One buffer for every chunk's draw: arrays freed chunk by chunk went
     # back to the system and were faulted in again, 512 pages a chunk at
     # tau = 0.05 on README's config.
-    work = np.empty((min(chunk, config.n_paths), n_packets))
-    for start in range(0, config.n_paths, chunk):
-        size = min(chunk, config.n_paths - start)
-        arrived += _chunk_counts(config, rng, ages[start : start + size], work[:size])
-    counts, n_infinite = counts_above(
-        arrived, config.n_paths, config.model.schedule, t_grid, x_grid
-    )
-    p = counts / config.n_paths
-    stderr = np.sqrt(p * (1.0 - p) / config.n_paths)
-    grid = CcdfGrid(
-        t_values=t_grid,
-        x_values=x_grid,
-        p=p,
-        kind="empirical",
-    )
-    return EmpiricalCcdf(
-        grid=grid,
-        stderr=stderr,
-        n_infinite=n_infinite,
-        n_paths=config.n_paths,
-        ages=ages,
-    )
+    work = np.empty((min(chunk, n_paths), n_packets))
+    for start in range(0, n_paths, chunk):
+        size = min(chunk, n_paths - start)
+        arrived += _chunk_counts(model, t_grid, rng, ages[start : start + size], work[:size])
+    counts, n_infinite = counts_above(arrived, n_paths, model.schedule, t_grid, x_grid)
+    p = counts / n_paths
+    stderr = np.sqrt(p * (1.0 - p) / n_paths)
+    grid = CcdfGrid(t_values=t_grid, x_values=x_grid, p=p)
+    return EmpiricalCcdf(grid=grid, stderr=stderr, n_infinite=n_infinite, ages=ages)

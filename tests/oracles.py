@@ -198,12 +198,12 @@ def cell_exceedance_counts(delays, schedule, t_grid, x_grid):
     """core.exceedance_counts with one count per (packet, grid time) cell:
     row i of the suffix minimum of the arrival times is counted at every
     grid time from the first that has generated packet i."""
-    delays, t_grid = _checked_paths(delays, schedule, t_grid)
+    delays, t_grid, _ = _checked_paths(delays, schedule, t_grid)
     x_grid = np.asarray(x_grid, dtype=float)
     tau = schedule.tau
     n_paths, n_packets = delays.shape
     gen = np.arange(n_packets) * tau
-    k = np.array([decompose_time(float(t), tau).k for t in t_grid], dtype=int)
+    k = np.array([decompose_time(float(t), tau)[0] for t in t_grid], dtype=int)
     first = np.searchsorted(k, np.arange(n_packets))
     generated = np.append(t_grid, np.inf)[first]
     s = np.empty((n_packets, n_paths))

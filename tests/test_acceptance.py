@@ -34,7 +34,7 @@ from aoi_lab.outputs import (
     exact_ccdf_grid,
     percentiles,
 )
-from aoi_lab.simulate import SimConfig, simulate_empirical_ccdf
+from aoi_lab.simulate import simulate_empirical_ccdf
 from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
 
 # Reference delay model used throughout: shifted-lognormal link with
@@ -126,9 +126,7 @@ def test_criterion_4_reference_model_grid(capsys):
     t_grid = np.arange(1, 21) * 0.5
     x_grid = np.arange(1, 51) * 0.2
     exact = exact_ccdf_grid(model, t_grid, x_grid, threads=2)
-    emp = simulate_empirical_ccdf(
-        SimConfig(model, n_paths=100_000, seed=11, t_grid=t_grid, x_grid=x_grid)
-    )
+    emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths=100_000, seed=11)
     diff = np.abs(exact.p - emp.grid.p)
     se = np.sqrt(exact.p * (1.0 - exact.p) / 100_000)
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(se, 1e-300))
@@ -149,8 +147,7 @@ def test_criterion_5_support_and_periodicity(capsys):
     and is periodic in t with period tau to 1e-9."""
     model = reference_model()
     t = 7.3
-    phi = decompose_time(t, TAU).phi
-    k = decompose_time(t, TAU).k
+    k, phi = decompose_time(t, TAU)
     sup = aoi_support(model, t)
     atoms_ok = np.allclose(
         sup.atoms, np.arange(sup.j_star, k + 1) * TAU + phi, atol=1e-9, rtol=0

@@ -463,6 +463,12 @@ class TestExitCodes:
             ("AOI_LAB_THREADS=0", "threads"),
             ("quadrature.m=0", "quadrature.m"),
             ("quadrature.L=2", "quadrature.L"),
+            ("quadrature.L=inf", "quadrature.L"),
+            ("t_grid.stop=inf", "t_grid"),
+            ("t_grid.start=nan", "t_grid"),
+            ("t_grid.step=-1", "t_grid"),
+            ('x_grid={"start": 0, "stop": Infinity, "step": 0.5}', "x_grid"),
+            ('x_grid={"start": NaN, "stop": 4, "step": 0.5}', "x_grid"),
             ("AOI_LAB_THREADS=abc", "AOI_LAB_THREADS"),
             ("AOI_LAB_THREADS=1.5", "AOI_LAB_THREADS"),
         ],

@@ -39,8 +39,8 @@ def aoi_path(delays, schedule, t_grid):
 def theta(t, x, tau):
     """Index of the oldest packet whose arrival matters for Pr(A_t > x),
     k_t + 1 - n with n the block length."""
-    dec = decompose_time(t, tau)
-    return dec.k + 1 - block_length(x, dec.phi, tau, dec.k)
+    k, phi = decompose_time(t, tau)
+    return k + 1 - block_length(x, phi, tau, k)
 
 
 def gaussian_model(kind="ou", x_min=0.5, mu_hat=-1.2824746787307684,
@@ -54,23 +54,58 @@ def gaussian_model(kind="ou", x_min=0.5, mu_hat=-1.2824746787307684,
 
 class TestDecomposeTime:
     def test_basic_split(self):
-        dec = decompose_time(7.3, 2.0)
-        assert dec.k == 3
-        assert dec.phi == pytest.approx(1.3, abs=1e-12)
+        k, phi = decompose_time(7.3, 2.0)
+        assert type(k) is int and type(phi) is float
+        assert k == 3
+        assert phi == pytest.approx(1.3, abs=1e-12)
 
     def test_exact_slot_boundary(self):
-        dec = decompose_time(6.0, 2.0)
-        assert dec.k == 3 and dec.phi == 0.0
+        assert decompose_time(6.0, 2.0) == (3, 0.0)
 
     def test_snaps_float_boundary(self):
         # 0.1 + 0.2 != 0.3 in binary; 0.3/0.1 lands a hair below 3.
-        dec = decompose_time(0.3, 0.1)
-        assert dec.k == 3 and dec.phi == 0.0
+        assert decompose_time(0.3, 0.1) == (3, 0.0)
 
     @pytest.mark.parametrize("t,tau", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_bad_arguments(self, t, tau):
         with pytest.raises(ValueError):
             decompose_time(t, tau)
+
+    @pytest.mark.parametrize(
+        "t,tau",
+        [
+            # Slot boundaries, exact and snapped (0.1 + 0.2 and 0.3).
+            ([0.0, 0.1 + 0.2, 0.3, 0.7, 6.0, 7.3, 1e3 + 0.1], 0.1),
+            ([0.0, 2.0, 6.0 - 1e-13, 7.3, 1e6 + 1.5], 2.0),
+            # TestExceedanceCounts' time whose next generation instant
+            # rounds to at or below it, and its neighbours.
+            ([263.7143739631855, np.nextafter(263.7143739631855, 0), 263.7143739631855 + 1e-9],
+             0.0539955720645343),
+        ],
+    )
+    def test_array_equals_scalar_calls_bit_for_bit(self, t, tau):
+        k, phi = decompose_time(np.array(t), tau)
+        assert k.dtype.kind == "i" and phi.dtype == np.float64
+        scalar = [decompose_time(v, tau) for v in t]
+        assert k.tolist() == [s[0] for s in scalar]
+        assert phi.tobytes() == np.array([s[1] for s in scalar]).tobytes()
+
+    @given(t=st.lists(st.floats(0, 1e4), max_size=12), tau=st.floats(1e-3, 1e2))
+    @settings(max_examples=100, deadline=None)
+    def test_array_matches_scalar_calls(self, t, tau):
+        k, phi = decompose_time(np.reshape(t, (-1, 1)), tau)
+        assert k.shape == phi.shape == (len(t), 1)
+        for i, v in enumerate(t):
+            assert (k[i, 0], phi[i, 0]) == decompose_time(v, tau)
+
+    @pytest.mark.parametrize("t,bad", [([1.0, -2.0, np.nan], "-2.0"), ([0.5, np.inf, -1.0], "inf")])
+    def test_names_the_first_bad_time(self, t, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            decompose_time(np.array(t), 1.0)
+
+    def test_rejects_a_slot_past_int64(self):
+        with pytest.raises(ValueError, match="t/tau must be below 2\\*\\*62"):
+            decompose_time(np.array([1.0, 1e10]), 1e-9)
 
     @given(
         t=st.floats(0, 1e3),
@@ -78,9 +113,9 @@ class TestDecomposeTime:
     )
     @settings(max_examples=100, deadline=None)
     def test_reconstruction(self, t, tau):
-        dec = decompose_time(t, tau)
-        assert 0.0 <= dec.phi < tau
-        assert dec.k * tau + dec.phi == pytest.approx(t, rel=1e-9, abs=1e-9)
+        k, phi = decompose_time(t, tau)
+        assert 0.0 <= phi < tau
+        assert k * tau + phi == pytest.approx(t, rel=1e-9, abs=1e-9)
 
 
 class TestTheta:
@@ -103,15 +138,15 @@ class TestTheta:
     @settings(max_examples=100, deadline=None)
     def test_matches_ceiling_formula(self, k, phi_frac, x, tau):
         t = (k + phi_frac) * tau
-        dec = decompose_time(t, tau)
+        k_t, phi = decompose_time(t, tau)
         # The two formulas may legitimately disagree within float noise of a
         # lattice point x = n*tau + phi; skip that measure-zero boundary.
-        r = (x - dec.phi) / tau
+        r = (x - phi) / tau
         if abs(r - round(r)) < 1e-6:
             return
         got = theta(t, x, tau)
-        if x < dec.phi:
-            assert got == dec.k + 1
+        if x < phi:
+            assert got == k_t + 1
         else:
             assert got == max(0, math.ceil((t - x) / tau - 1e-9))
 
@@ -179,9 +214,9 @@ class TestAoiCcdfAgainstPaths:
             assume(abs(n * tau + d - t) > 1e-9)
             assume(abs(x - (t - n * tau)) > 1e-9)
         schedule = GenerationSchedule(tau)
-        dec = decompose_time(t, tau)
-        n = block_length(x, dec.phi, tau, dec.k)
-        all_late = all(delays[dec.k - j] > j * tau + dec.phi for j in range(n))
+        k, phi = decompose_time(t, tau)
+        n = block_length(x, phi, tau, k)
+        all_late = all(delays[k - j] > j * tau + phi for j in range(n))
         age = aoi_path(delays, schedule, [t])[0]
         assert (age > x) == all_late
 
@@ -287,7 +322,7 @@ class TestExceedanceCounts:
     )
     def test_equals_dense_ages(self, model, tau):
         schedule = GenerationSchedule(tau)
-        n_packets = decompose_time(self.T_GRID[-1], tau).k + 2
+        n_packets = decompose_time(self.T_GRID[-1], tau)[0] + 2
         rng = np.random.Generator(np.random.Philox(5))
         delays = g_apply(model.link, sample_driver(model, n_packets, rng, 3000))
         ages = aoi_path_matrix(delays, schedule, self.T_GRID)
@@ -321,7 +356,7 @@ class TestExceedanceCounts:
         # below t, and decompose_time still puts t in slot k: that packet
         # has not been generated at t, even when it arrives at once.
         tau, t = 0.0539955720645343, 263.7143739631855
-        k = decompose_time(t, tau).k
+        k = decompose_time(t, tau)[0]
         assert (k + 1) * tau <= t
         delays = np.ones((3, k + 2))
         delays[0] = 0.0
@@ -391,7 +426,7 @@ class TestCountKernel:
         # grid times and ages with x; t = 0 and a repeated t; one-path and
         # two-path chunks.
         t_grid = TestExceedanceCounts.T_GRID
-        n_packets = decompose_time(t_grid[-1], tau).k + 2
+        n_packets = decompose_time(t_grid[-1], tau)[0] + 2
         rng = np.random.Generator(np.random.Philox(17))
         delays = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 3.75, 9.0], size=(n_paths, n_packets))
         x_grid = [-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 1e9, np.inf]
@@ -401,7 +436,7 @@ class TestCountKernel:
 class TestAoiSupport:
     def test_atoms_sit_on_phase_lattice(self):
         sup = aoi_support(gaussian_model(), 7.3)
-        phi = decompose_time(7.3, 2.0).phi
+        phi = decompose_time(7.3, 2.0)[1]
         assert np.allclose(sup.atoms, np.arange(sup.j_star, 4) * 2.0 + phi)
 
     def test_masses_and_infinity_sum_to_one(self):
@@ -461,18 +496,17 @@ class TestAoiSupport:
 class TestCcdfGrid:
     def test_validates_shape(self):
         with pytest.raises(ValueError):
-            CcdfGrid(np.arange(2.0), np.arange(3.0), np.zeros((3, 2)), "exact")
+            CcdfGrid(np.arange(2.0), np.arange(3.0), np.zeros((3, 2)))
 
-    def test_validates_kind(self):
-        with pytest.raises(ValueError):
-            CcdfGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "guess")
+    def test_takes_no_kind(self):
+        # Exact and empirical grids are one type: a grid names no kind.
+        with pytest.raises(TypeError):
+            CcdfGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "exact")
 
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(ValueError):
-            CcdfGrid(np.arange(2.0), np.arange(3.0), np.full((2, 3), 1.5), "exact")
+            CcdfGrid(np.arange(2.0), np.arange(3.0), np.full((2, 3), 1.5))
 
     def test_clips_float_noise(self):
-        g = CcdfGrid(
-            np.arange(2.0), np.arange(3.0), np.full((2, 3), 1.0 + 1e-15), "exact"
-        )
+        g = CcdfGrid(np.arange(2.0), np.arange(3.0), np.full((2, 3), 1.0 + 1e-15))
         assert np.all(g.p <= 1.0)

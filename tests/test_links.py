@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoi_lab.cli import RunConfig, UsageError
+from aoi_lab.cli import EXIT_USAGE, RunConfig, UsageError, main
 from aoi_lab.core import GenerationSchedule, block_length, decompose_time
 from aoi_lab.errors import CalibrationError
 from aoi_lab.links import (
@@ -108,6 +108,41 @@ class TestLinkValidation:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             LinkFunction(SHIFTED_LOGNORMAL, 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("x_min", (math.nan, 0.0, 1.0)),
+            ("x_min", (math.inf, 0.0, 1.0)),
+            ("mu_hat", (0.5, math.nan, 1.0)),
+            ("mu_hat", (0.5, -math.inf, 1.0)),
+            ("s_hat", (0.5, 0.0, math.inf)),
+            ("s_hat", (0.5, 0.0, math.nan)),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LinkFunction(SHIFTED_LOGNORMAL, *args)
+
+    @pytest.mark.parametrize(
+        "changes,name",
+        [
+            ({"x_min": math.nan, "c": 0.0}, "x_min"),
+            ({"mu_hat": math.nan, "kappa": 0.1}, "mu_hat"),
+            ({"mu_hat": math.nan, "c": 10.0}, "mu_hat"),
+            ({"s_hat": math.inf, "c": 10.0}, "s_hat"),
+        ],
+    )
+    def test_config_model_names_the_non_finite_parameter(self, changes, name):
+        cfg = RunConfig(SHIFTED_LOGNORMAL, **{"mu_hat": 0.4, "s_hat": 0.9, **changes})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cfg.model()
+
+    def test_simulate_names_a_non_finite_parameter(self, tmp_path, capsys):
+        code = main(["simulate", "--out", str(tmp_path), "--set", "link.mu_hat=nan",
+                     "--set", "link.s_hat=0.9", "--set", "correlation.c=10"])
+        assert code == EXIT_USAGE
+        assert "mu_hat must be finite, got nan" in capsys.readouterr().err
 
 
 class TestApplyInverse:
@@ -325,12 +360,12 @@ class TestThresholds:
         model = DelayModel(
             lognormal_link(), CorrelationMode("iid"), GenerationSchedule(2.0)
         )
-        dec = decompose_time(7.3, 2.0)
-        assert dec.k == 3
-        assert dec.phi == pytest.approx(1.3, rel=1e-12)
-        n = block_length(3.4, dec.phi, 2.0, dec.k)
+        k, phi = decompose_time(7.3, 2.0)
+        assert k == 3
+        assert phi == pytest.approx(1.3, rel=1e-12)
+        n = block_length(3.4, phi, 2.0, k)
         assert n == 2
-        q = ccdf_profile(model, dec.phi, n, QuadratureSpec())
+        q = ccdf_profile(model, phi, n, QuadratureSpec())
         assert q.shape == (n + 1,)
         a = [float(g_inverse(model.link, 1.3)), float(g_inverse(model.link, 3.3))]
         expected = std_normal_tail(a[0]) * std_normal_tail(a[1])

@@ -45,7 +45,7 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"m": 8}, {"L": 2.0}, {"L": math.nan}],
+        [{"m": 8}, {"L": 2.0}, {"L": math.nan}, {"L": math.inf}],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -230,7 +230,7 @@ class TestExactCcdfGrid:
         x_grid = np.arange(0.0, 8.0, 0.25)
         grid = exact_ccdf_grid(model, t_grid, x_grid)
         for i, t in enumerate(t_grid):
-            phi = decompose_time(t, 2.0).phi
+            phi = decompose_time(t, 2.0)[1]
             assert np.all(grid.p[i, x_grid < phi] == 1.0)
             assert np.all(np.diff(grid.p[i]) <= 1e-12)
 
@@ -250,7 +250,7 @@ class TestExactCcdfGrid:
         # (t, x, n): at (7.3, 3.4) the delay thresholds are 1.3 and 3.3.
         for t, x, n in [(4.5, 2.2, 1), (4.5, 3.0, 2), (7.3, 3.4, 2), (7.3, 6.0, 3),
                         (7.3, 9.0, 4)]:
-            phi = decompose_time(t, 2.0).phi
+            phi = decompose_time(t, 2.0)[1]
             a = g_inverse(model.link, np.arange(n) * 2.0 + phi)
             direct = ou_orthant(np.atleast_1d(a)[::-1], rho)
             cell = grid.p[t_grid.index(t), x_grid.index(x)]
@@ -277,14 +277,21 @@ class TestExactCcdfGrid:
         assert list(phis) == sorted(set(phis)) and len(phis) == 5
         table = ccdf_profiles(model, phis, n_max, spec)
         for i, t in enumerate(t_grid):
-            dec = decompose_time(float(t), 0.5)
-            phi = outputs._phase_key(dec.phi, 0.5) * 0.5
+            k, phi = decompose_time(float(t), 0.5)
+            phi = outputs._phase_key(phi, 0.5) * 0.5
             row = list(phis).index(phi)
             for j, x in enumerate(x_grid):
-                n = block_length(float(x), phi, 0.5, dec.k)
+                n = block_length(float(x), phi, 0.5, k)
                 assert n <= n_max[row]
                 assert grid.p[i, j] == table[row, n]
                 assert abs(grid.p[i, j] - phase_profile(model, phi, n, QuadratureSpec())[n]) <= 1e-15
+
+    def test_names_a_nan_in_either_grid(self):
+        # A NaN passes the sortedness check, since it compares False.
+        with pytest.raises(ValueError, match="x_grid must not hold NaN, got one at index 1"):
+            exact_ccdf_grid(make_model(), [1.0], [0.5, math.nan])
+        with pytest.raises(ValueError, match="t must be a finite non-negative number, got nan"):
+            exact_ccdf_grid(make_model(), [1.0, math.nan], [0.5])
 
     def test_empty_grids(self):
         assert exact_ccdf_grid(make_model(), [], [0.5]).p.shape == (0, 1)
@@ -555,10 +562,10 @@ class TestSerialization:
     def check_grid_rows(path, writer, t, x, p, cells):
         # The rows are those of formatting every cell's numbers together.
         if writer == "heatmap":
-            write_heatmap_csv(outputs.HeatmapGrid(t, x, cells, 0.5), str(path))
+            write_heatmap_csv(outputs.HeatmapGrid(t, x, cells), str(path))
             columns = (cells,)
         else:
-            grid = outputs.CcdfGrid(t, x, p, "empirical")
+            grid = outputs.CcdfGrid(t, x, p)
             stderr = cells if writer == "ccdf+stderr" else None
             write_ccdf_csv(grid, str(path), stderr)
             columns = (p,) if stderr is None else (p, cells)

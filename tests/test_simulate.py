@@ -19,7 +19,7 @@ from aoi_lab.links import (
 )
 from aoi_lab.core import aoi_path_matrix
 from aoi_lab.outputs import exact_ccdf_grid
-from aoi_lab.simulate import SimConfig, sample_driver, simulate_empirical_ccdf
+from aoi_lab.simulate import sample_driver, simulate_empirical_ccdf
 
 
 def make_model(kind="ou", kappa=0.25, tau=1.0):
@@ -114,16 +114,14 @@ class TestEmpiricalCcdf:
         model = make_model("iid")
         t_grid = [0.7, 2.7, 5.7]
         x_grid = [0.5, 1.0, 2.0, 4.0]
-        cfg = SimConfig(model, n_paths=100_000, seed=21, t_grid=t_grid, x_grid=x_grid)
-        emp = simulate_empirical_ccdf(cfg)
+        emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths=100_000, seed=21)
         exact = exact_ccdf_grid(model, t_grid, x_grid)
         diff = np.abs(emp.grid.p - exact.p)
-        se = np.sqrt(exact.p * (1 - exact.p) / cfg.n_paths)
+        se = np.sqrt(exact.p * (1 - exact.p) / 100_000)
         assert np.all(diff <= 4 * np.maximum(se, 1e-4))
 
     def test_stderr_is_binomial(self):
-        cfg = SimConfig(make_model(), n_paths=1000, seed=3, t_grid=[2.5], x_grid=[1.0])
-        emp = simulate_empirical_ccdf(cfg)
+        emp = simulate_empirical_ccdf(make_model(), [2.5], [1.0], n_paths=1000, seed=3)
         p = emp.grid.p[0, 0]
         assert emp.stderr[0, 0] == pytest.approx(
             math.sqrt(p * (1 - p) / 1000), rel=1e-12
@@ -131,33 +129,42 @@ class TestEmpiricalCcdf:
 
     def test_infinite_age_counting(self):
         # At huge x only never-updated paths exceed the threshold.
-        cfg = SimConfig(
-            make_model(), n_paths=5000, seed=8, t_grid=[0.9, 4.9], x_grid=[1e9]
-        )
-        emp = simulate_empirical_ccdf(cfg)
-        assert np.allclose(emp.grid.p[:, 0] * cfg.n_paths, emp.n_infinite)
+        emp = simulate_empirical_ccdf(make_model(), [0.9, 4.9], [1e9], n_paths=5000, seed=8)
+        assert np.allclose(emp.grid.p[:, 0] * 5000, emp.n_infinite)
 
     def test_no_age_exceeds_infinity(self):
         # Never-updated paths exceed x = 1e300 but not x = +inf, in the
         # exact grid as in the simulated one.
         model = make_model()
         t_grid, x_grid = [1.0, 3.0], [0.0, 1e300, np.inf]
-        cfg = SimConfig(model, n_paths=5000, seed=8, t_grid=t_grid, x_grid=x_grid)
-        emp = simulate_empirical_ccdf(cfg)
+        emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths=5000, seed=8)
         exact = exact_ccdf_grid(model, t_grid, x_grid)
         assert np.all(exact.p[:, 1] > 0) and np.all(emp.grid.p[:, 1] > 0)
         assert np.array_equal(exact.p[:, 2], emp.grid.p[:, 2])
         assert np.all(exact.p[:, 2] == 0.0)
 
     def test_deterministic_in_seed(self):
-        cfg = SimConfig(make_model(), n_paths=500, seed=42, t_grid=[2.5], x_grid=[1.0])
-        a = simulate_empirical_ccdf(cfg)
-        b = simulate_empirical_ccdf(cfg)
+        args = (make_model(), [2.5], [1.0], 500, 42)
+        a = simulate_empirical_ccdf(*args)
+        b = simulate_empirical_ccdf(*args)
         assert np.array_equal(a.grid.p, b.grid.p)
 
+    def test_horizon_on_a_snapped_slot_boundary(self):
+        # 0.3 / 0.1 rounds below 3, but decompose_time puts t = 0.3 in slot
+        # 3, so the paths need 4 packets.  Delays are 0 with probability
+        # 0.42, so some ages are 0.
+        link = LinkFunction(CENSORED_NORMAL, 0.0, 0.2, 1.0)
+        model = DelayModel(link, CorrelationMode("ou", kappa=0.25), GenerationSchedule(0.1))
+        t_grid, x_grid = [0.1, 0.3], [0.0, 0.05, 0.25]
+        emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths=50, seed=6)
+        z = sample_driver(model, 4, rng(6), 50)
+        ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
+        assert np.isfinite(ages).any() and (ages == 0).any()
+        assert np.array_equal(emp.grid.p, (ages[:, :, None] > x_grid).mean(axis=0))
+
     def test_rejects_empty_ensemble(self):
-        with pytest.raises(ValueError):
-            SimConfig(make_model(), n_paths=0, seed=1, t_grid=[1.0], x_grid=[1.0])
+        with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+            simulate_empirical_ccdf(make_model(), [1.0], [1.0], n_paths=0, seed=1)
 
 
 class TestStreamedCcdf:
@@ -188,15 +195,16 @@ class TestStreamedCcdf:
             model = DelayModel(link, CorrelationMode("ou", kappa=0.25), GenerationSchedule(tau))
         else:
             model = make_model(kind, tau=tau)
-        cfg = SimConfig(model, n_paths, seed=13, t_grid=t_grid, x_grid=x_grid)
-        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", chunk * simulate._n_packets(cfg))
+        # Every packet generated by t = 5.5.
+        n_packets = int(5.5 / tau) + 1
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", chunk * n_packets)
         # The dense oracle: one draw of every path from the same seed.
-        z = sample_driver(model, simulate._n_packets(cfg), rng(13), n_paths)
+        z = sample_driver(model, n_packets, rng(13), n_paths)
         ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
         x = np.asarray(x_grid)
         assert np.isin(ages, x).any()
         p = (ages[:, :, None] > x).mean(axis=0)
-        emp = simulate_empirical_ccdf(cfg, n_saved=n_paths)
+        emp = simulate_empirical_ccdf(model, t_grid, x_grid, n_paths, seed=13, n_saved=n_paths)
         assert np.array_equal(emp.grid.p, p)
         assert np.array_equal(emp.stderr, np.sqrt(p * (1.0 - p) / n_paths))
         assert np.array_equal(emp.n_infinite, np.isinf(ages).sum(axis=0))
@@ -207,8 +215,7 @@ class TestStreamedCcdf:
             raise AssertionError("per-path ages built")
 
         monkeypatch.setattr(simulate, "aoi_path_matrix", dense)
-        cfg = SimConfig(make_model(), 5000, seed=2, t_grid=[0.5, 2.5, 5.5], x_grid=[1.0])
-        emp = simulate_empirical_ccdf(cfg)
+        emp = simulate_empirical_ccdf(make_model(), [0.5, 2.5, 5.5], [1.0], 5000, seed=2)
         assert emp.ages.shape == (0, 3)
 
     @pytest.mark.parametrize("n_saved", [0, 3, 4, 6, 11])
@@ -217,26 +224,24 @@ class TestStreamedCcdf:
         # stops inside, at and past a chunk's end.
         monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 27)
         model = make_model()
-        cfg = SimConfig(model, 11, seed=5, t_grid=[0.5, 2.5, 5.5], x_grid=[1.0])
+        t_grid = [0.5, 2.5, 5.5]
         z = sample_driver(model, 6, rng(5), 11)
-        ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, cfg.t_grid)
-        saved = simulate_empirical_ccdf(cfg, n_saved=n_saved).ages
+        ages = aoi_path_matrix(g_apply(model.link, z), model.schedule, t_grid)
+        saved = simulate_empirical_ccdf(model, t_grid, [1.0], 11, seed=5, n_saved=n_saved).ages
         assert saved.shape == (n_saved, 3)
         assert np.array_equal(saved, ages[:n_saved])
 
     @pytest.mark.parametrize("n_saved", [-1, 12])
     def test_rejects_saved_outside_ensemble(self, n_saved):
-        cfg = SimConfig(make_model(), 11, seed=5, t_grid=[2.5], x_grid=[1.0])
         with pytest.raises(ValueError):
-            simulate_empirical_ccdf(cfg, n_saved=n_saved)
+            simulate_empirical_ccdf(make_model(), [2.5], [1.0], 11, seed=5, n_saved=n_saved)
 
     def test_one_path_chunks_below_a_paths_packets(self, monkeypatch):
         # A budget of 5 floats holds less than one path of 6 packets: each
         # chunk is one path, and the counts and ages are those of one chunk
         # of all 40.
-        cfg = SimConfig(make_model(), 40, seed=4, t_grid=[0.0, 2.5, 2.5, 5.5],
-                        x_grid=[0.0, 0.5, 1.5, 3.0])
-        whole = simulate_empirical_ccdf(cfg, n_saved=40)
+        args = (make_model(), [0.0, 2.5, 2.5, 5.5], [0.0, 0.5, 1.5, 3.0], 40, 4)
+        whole = simulate_empirical_ccdf(*args, n_saved=40)
         sizes, sample = [], simulate.sample_driver
 
         def counted(model, n, rng, n_paths, **kwargs):
@@ -245,7 +250,7 @@ class TestStreamedCcdf:
 
         monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 5)
         monkeypatch.setattr(simulate, "sample_driver", counted)
-        split = simulate_empirical_ccdf(cfg, n_saved=40)
+        split = simulate_empirical_ccdf(*args, n_saved=40)
         assert sizes == [1] * 40
         assert np.array_equal(split.grid.p, whole.grid.p)
         assert np.array_equal(split.n_infinite, whole.n_infinite)
@@ -258,10 +263,9 @@ class TestStreamedCcdf:
         model = make_model(kappa=calibrate_kappa(make_model().link, 10.0), tau=tau)
         t_grid = np.arange(1, 21) * 0.5
         x_grid = np.arange(501) * 0.02
-        cfg = SimConfig(model, n_paths, seed=3, t_grid=t_grid, x_grid=x_grid)
         tracemalloc.start()
         try:
-            simulate_empirical_ccdf(cfg)
+            simulate_empirical_ccdf(model, t_grid, x_grid, n_paths, seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
