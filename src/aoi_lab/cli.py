@@ -63,6 +63,10 @@ class UsageError(Exception):
     pass
 
 
+# Points of one grid at most; a grid is checked before it is built.
+_MAX_GRID_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class GridRange:
     start: float
@@ -76,11 +80,20 @@ class GridRange:
             raise UsageError(f"grid step must be positive, got {self.step}")
         if self.stop < self.start:
             raise UsageError("grid stop must be >= start")
+        if self.size > _MAX_GRID_POINTS:
+            raise UsageError(
+                f"grid has {self.size:.15g} points, over the limit of {_MAX_GRID_POINTS}"
+            )
+
+    @property
+    def size(self) -> float:
+        """Number of points, inclusive of stop within half a step; inf when
+        the count overflows a float."""
+        n = (self.stop - self.start) / self.step + 0.5
+        return math.floor(n) + 1 if n < math.inf else math.inf
 
     def values(self) -> np.ndarray:
-        # Inclusive of stop within half a step.
-        n = int(math.floor((self.stop - self.start) / self.step + 0.5)) + 1
-        return self.start + self.step * np.arange(n)
+        return self.start + self.step * np.arange(self.size)
 
 
 @dataclass(frozen=True)
@@ -416,21 +429,21 @@ def cmd_compare(cfg: RunConfig) -> int:
     spec = cfg.quadrature()
     t_values = cfg.t_grid.values()
     x_values = cfg.x_grid.values()
-    grid = exact_ccdf_grid(model, t_values, x_values, spec, threads=cfg.threads)
     emp = simulate_empirical_ccdf(model, t_values, x_values, cfg.n_paths, cfg.seed)
+    # The run's own model is a rung of the dominance ladder (kappa in ou
+    # mode, else iid or frozen), and every rung's grid comes from one sweep.
+    ladder = model.correlation.ladder()
+    rungs = exact_ccdf_grid(
+        [replace(model, correlation=corr) for _, corr in ladder],
+        t_values, x_values, spec, threads=cfg.threads,
+    )
+    grids = [(label, g) for (label, _), g in zip(ladder, rungs)]
+    grid = next(g for (_, corr), g in zip(ladder, rungs) if corr == model.correlation)
     diff = np.abs(grid.p - emp.grid.p)
     se = np.sqrt(grid.p * (1.0 - grid.p) / cfg.n_paths)
     z = np.where(diff <= 1e-9, 0.0, diff / np.maximum(se, 1e-300))
     frac_ok = float(np.mean(z <= 3.0))
 
-    # The run's own model is a rung of the dominance ladder (kappa in ou
-    # mode, else iid or frozen); its grid is computed once.
-    grids = [
-        (label, grid if corr == model.correlation else exact_ccdf_grid(
-            replace(model, correlation=corr), t_values, x_values, spec, threads=cfg.threads
-        ))
-        for label, corr in model.correlation.ladder()
-    ]
     dominance = []
     all_dominant = True
     for (lo_label, lo), (hi_label, hi) in zip(grids, grids[1:]):

@@ -9,7 +9,8 @@ A chain carries a batch axis: the threshold sequences of P phases advance
 through each stage together, on grids padded to one width, and the stage
 kernel is built in blocks of rows shared by the batch, each reading a band
 of nodes as wide as the widest phase's band, within one work array of
-_WORK_FLOATS floats.
+_WORK_FLOATS floats.  Each row carries its own rho, so chains of several
+correlations share one sweep; OuChain.rho is the batch's largest.
 Every quadrature, here and in the censored-normal lag integral of links,
 applies one Gauss-Legendre rule of _PANEL_ORDER nodes on panels (_panels).
 The limits rho = 0 and rho = 1 have closed forms, which
@@ -107,6 +108,9 @@ class OuChain:
     """Stagewise evaluation of Pr(Z_0 > a_0, ..., Z_{n-1} > a_{n-1}) for a
     batch of P phases in lockstep.
 
+    rho is one correlation for every phase or one per phase; the rho
+    attribute is the largest, a float.
+
     Each call to extend() conditions every phase on one more event
     {Z_n > a_n} and returns the updated joint probabilities: one threshold
     per phase in, one probability per phase out.  A scalar threshold is a
@@ -122,26 +126,35 @@ class OuChain:
 
     Every stage, at every rho, takes the Nystrom update of _propagate.  In
     the previous state u its kernel has width sd/rho, and a stage grid
-    gets the nodes its accuracy needs, read off that width:
+    gets the nodes its accuracy needs, read off its phase's width:
     _ACCURATE_PER_WIDTH per width, at least _MIN_STAGE_NODES, capped at
     spec.m.  The _NODES_PER_WIDTH nodes per width that resolve the kernel
     override the cap, and an m above the accuracy rule's count changes
     nothing.  A stage past _MAX_STAGE_NODES raises QuadratureError, whose
-    `phase` is the index of the failing phase in the batch.
+    `phase` is the index of the failing phase in the batch and whose
+    message names that phase's rho.
     """
 
-    def __init__(self, rho: float, spec: QuadratureSpec | None = None):
-        if not (np.isfinite(rho) and 0.0 < rho < 1.0):
-            raise ValueError(f"rho must lie strictly in (0, 1), got {rho}")
-        self.rho = float(rho)
-        self.sd = float(np.sqrt(1.0 - rho * rho))
+    def __init__(self, rho, spec: QuadratureSpec | None = None):
+        rhos = np.atleast_1d(np.asarray(rho, dtype=float))
+        if rhos.ndim != 1 or rhos.size == 0:
+            raise ValueError("rho must be a scalar or a non-empty 1-D array")
+        bad = np.flatnonzero(~(np.isfinite(rhos) & (0.0 < rhos) & (rhos < 1.0)))
+        if bad.size:
+            raise ValueError(f"rho must lie strictly in (0, 1), got {rhos[bad[0]]}")
+        # The largest correlation needs the most nodes per stage.
+        self.rho = float(rhos.max())
         self.spec = spec if spec is not None else QuadratureSpec()
         # Joint probability per phase, set by the first extend.
         self.prob: np.ndarray | None = None
         self.n = 0
         # State of the live phases (prob > 0) only, one row each: their
-        # index in the batch, stage grids, densities and lower limits.
+        # index in the batch, one-step correlations and conditional sds,
+        # stage grids, densities and lower limits.  Before the first extend
+        # the correlations are as given: one per phase or one for all.
         self._rows = np.zeros(0, dtype=int)
+        self._rho = rhos
+        self._sd = np.sqrt(1.0 - rhos * rhos)
         self._nodes: np.ndarray | None = None
         self._weights: np.ndarray | None = None
         self._density: np.ndarray | None = None
@@ -159,8 +172,12 @@ class OuChain:
         if batch.ndim != 1:
             raise ValueError("thresholds must be a scalar or a 1-D array")
         if self.prob is None:
+            if self._rho.size not in (1, batch.size):
+                raise ValueError(f"expected {self._rho.size} thresholds, got {batch.size}")
             self.prob = np.ones(batch.size)
             self._rows = np.arange(batch.size)
+            self._rho = np.broadcast_to(self._rho, batch.shape)
+            self._sd = np.broadcast_to(self._sd, batch.shape)
         elif batch.size != self.prob.size:
             raise ValueError(f"expected {self.prob.size} thresholds, got {batch.size}")
         if np.isnan(batch).any():
@@ -200,13 +217,13 @@ class OuChain:
             nodes, weights = self._grid(np.stack([lo_new, np.full_like(lo_new, L)], axis=1))
             raw = _std_normal_pdf(nodes)
         else:
-            edge = self.rho * self._lo
+            edge = self._rho * self._lo
             inside = (lo_new + 1e-9 < edge) & (edge < L - 1e-9)
             breaks = np.stack(
                 [lo_new, np.where(inside, edge, L), np.full_like(lo_new, L)], axis=1
             )
             nodes, weights = self._grid(breaks)
-            raw = self._propagate(nodes)
+            raw = self._propagate(nodes, np.count_nonzero(weights, axis=1))
             tail = np.clip(np.matmul(weights[:, None, :], raw[:, :, None])[:, 0, 0], 0.0, 1.0)
             self.prob[self._rows] *= tail
         alive = (self.prob[self._rows] >= _TINY_PROB) & (tail != 0.0)
@@ -219,22 +236,24 @@ class OuChain:
         if alive.all():
             return
         self.prob[self._rows[~alive]] = 0.0
-        self._rows = self._rows[alive]
+        self._rows, self._rho, self._sd = self._rows[alive], self._rho[alive], self._sd[alive]
         if self._nodes is not None:
             self._nodes, self._weights = self._nodes[alive], self._weights[alive]
             self._density, self._lo = self._density[alive], self._lo[alive]
 
     def _stage_nodes(self, span: np.ndarray) -> np.ndarray:
-        """Nodes of a stage grid span wide, per phase, in w = span*rho/sd
-        kernel widths: max(2w, min(m, max(3w, _MIN_STAGE_NODES)))."""
-        widths = np.asarray(span, dtype=float) * self.rho / self.sd
+        """Nodes of a stage grid span wide, per live phase, in w =
+        span*rho/sd kernel widths at the phase's own rho:
+        max(2w, min(m, max(3w, _MIN_STAGE_NODES)))."""
+        widths = np.asarray(span, dtype=float) * self._rho / self._sd
         n = np.ceil(_NODES_PER_WIDTH * widths)
         over = np.flatnonzero(n > _MAX_STAGE_NODES)
         if over.size:
+            i = over[0]
             raise QuadratureError(
-                f"rho={self.rho!r} needs {int(n[over[0]])} nodes per stage, over the "
+                f"rho={float(self._rho[i])!r} needs {int(n[i])} nodes per stage, over the "
                 f"budget of {_MAX_STAGE_NODES}; use correlation.mode: frozen for this limit",
-                phase=int(over[0]),
+                phase=int(i),
             )
         accurate = np.maximum(np.ceil(_ACCURATE_PER_WIDTH * widths), _MIN_STAGE_NODES)
         return np.maximum(n, np.minimum(self.spec.m, accurate))
@@ -264,12 +283,12 @@ class OuChain:
         edges = np.where(pad, breaks[:, -1:], (k - first) * step + lo)
         return _panels(np.concatenate([edges, breaks[:, -1:]], axis=1))
 
-    def _propagate(self, targets: np.ndarray) -> np.ndarray:
+    def _propagate(self, targets: np.ndarray, real: np.ndarray) -> np.ndarray:
         """Density of each phase's next state at its target nodes, shape
         (P, n), given the events accumulated so far (normalized over the
         whole real line): the Nystrom update k @ (weights * density), with
         the kernel k = _std_normal_pdf((targets[:, :, None] - rho *
-        nodes[:, None, :]) / sd) / sd.
+        nodes[:, None, :]) / sd) / sd at each phase's own rho and sd.
 
         The targets are cut into blocks of rows shared by the whole batch,
         as many rows as the sparsest phase has in its first _BLOCK_SPAN sd.
@@ -278,8 +297,11 @@ class OuChain:
         nodes in every phase, the most any phase's band holds, so a phase
         may read a few nodes past its band.  A block's kernel is built in
         the work array by the formula's operations, in the same order, a
-        run of rows at a time that fits _WORK_FLOATS."""
-        rho, sd = self.rho, self.sd
+        run of rows at a time that fits _WORK_FLOATS.  A phase's targets
+        past its first real[p] are the zero-width padding panels at L, which
+        carry no weight: a run leaves out the phases it holds only padding
+        of, and their density there is 0."""
+        rho, sd = self._rho[:, None], self._sd[:, None]
         centres = rho * self._nodes
         mass = self._weights * self._density
         n_phases, n = targets.shape
@@ -288,11 +310,11 @@ class OuChain:
         starts = np.arange(0, n, rows)
         stops = np.append(starts[1:], n)
         # The padding nodes at L carry no mass and stay out of every band.
-        real = np.count_nonzero(self._weights, axis=1)[:, None]
-        firsts = np.minimum(_search_rows(centres, targets[:, starts] - _BAND * sd, "left"), real)
-        lasts = np.minimum(_search_rows(centres, targets[:, stops - 1] + _BAND * sd, "right"), real)
+        held = np.count_nonzero(self._weights, axis=1)[:, None]
+        firsts = np.minimum(_search_rows(centres, targets[:, starts] - _BAND * sd, "left"), held)
+        lasts = np.minimum(_search_rows(centres, targets[:, stops - 1] + _BAND * sd, "right"), held)
         bands = np.max(lasts - firsts, axis=0)
-        raw = np.empty((n_phases, n))
+        raw = np.zeros((n_phases, n))
         # Flat index of each phase's first node, for one take per block.
         row_starts = (m * np.arange(n_phases))[:, None]
         for i0, i1, first, w in zip(starts, stops, firsts.T, bands):
@@ -302,15 +324,17 @@ class OuChain:
             run = max(_WORK_FLOATS // max(n_phases * w, 1), 1)
             for r0 in range(i0, i1, run):
                 r1 = min(r0 + run, i1)
-                size = n_phases * (r1 - r0) * w
+                live = np.flatnonzero(real > r0)
+                p = slice(None) if live.size == n_phases else live
+                size = live.size * (r1 - r0) * w
                 if self._work.size < size:
                     self._work = np.empty(size)
-                k = self._work[:size].reshape(n_phases, r1 - r0, w)
-                np.subtract(targets[:, r0:r1, None], c[:, None, :], out=k)
-                k /= sd
+                k = self._work[:size].reshape(live.size, r1 - r0, w)
+                np.subtract(targets[p, r0:r1, None], c[p, None, :], out=k)
+                k /= sd[p, :, None]
                 _std_normal_pdf(k, out=k)
-                k /= sd
-                raw[:, r0:r1] = np.matmul(k, mw)[:, :, 0]
+                k /= sd[p, :, None]
+                raw[p, r0:r1] = np.matmul(k, mw[p])[:, :, 0]
         return raw
 
 

@@ -9,11 +9,14 @@ length n, so the whole law of A_t at phase phi is the profile
 Q_phi[0..n] from ccdf_profiles, the single exact primitive every report
 here reads and its one batched entry: it cuts the phases into chunks,
 runs them on the thread pool and sweeps each chunk's chain once, whose
-prefixes yield every block length.  Grid cells share one profile per
-phase class.  The time average is the exact phase integral of the profiles:
-Chebyshev interpolants of Q_phi[n] on phase pieces split at x_min mod tau,
-integrated in closed form.  Percentiles invert it by false position on
-those same pieces, to adjacent floats.
+prefixes yield every block length.  Each row carries its own model, so
+models that share link and schedule share the sweep: a chain's rows carry
+their own rho, and OuChain.rho is the batch's largest.  Grid cells share
+one profile per phase class, and exact_ccdf_grid gives the grids of
+several such models from one sweep.  The time average is the exact phase
+integral of the profiles: Chebyshev interpolants of Q_phi[n] on phase
+pieces split at x_min mod tau, integrated in closed form.  Percentiles
+invert it by false position on those same pieces, to adjacent floats.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _phase_key(phi: float, tau: float) -> float:
 
 
 def ccdf_profiles(
-    model: DelayModel,
+    model: DelayModel | Sequence[DelayModel],
     phis: Sequence[float],
     n_max,
     spec: QuadratureSpec,
@@ -75,66 +78,79 @@ def ccdf_profiles(
 
     Q_phi[n] is the joint probability that the n most recent packets are
     all late, i.e. the Gaussian tail over thresholds g_inverse(j*tau +
-    phi), j = 0..n-1; Q_phi[0] = 1.  n_max is one block length for every
-    phase or one per phase; a row is 0 past its own.  At rho = 0 a row is a
-    product of marginal tails, at rho = 1 the tail of the largest
-    threshold.  Otherwise the phases are cut, in order, into chunks of
-    orthant.batch_size phases, or of one where no full-span stage fits the
-    node budget, so the first live phase's chain names the failure.  A
-    chunk's phases advance in lockstep through one OuChain batch
-    (thresholds in non-decreasing order, valid by time-reversibility),
-    which yields every prefix length as a byproduct, and those whose
-    thresholds reach L in a batch of their own grown spec.  Up to `threads`
-    worker threads run the chunks, which depend on the phases and the spec
-    alone, so outputs do not depend on `threads`.
+    phi), j = 0..n-1; Q_phi[0] = 1.  model is one model for every phase or
+    one per phase, all with one link and schedule, and n_max one block
+    length for every phase or one per phase; a row is 0 past its own.  A
+    row at rho = 0 is a product of marginal tails, at rho = 1 the tail of
+    the largest threshold.  The other rows are cut, in order, into chunks
+    of orthant.batch_size phases at their largest rho, or of one where no
+    full-span stage fits the node budget, so the first live phase's chain
+    names the failure.  A chunk's phases advance in lockstep through one
+    OuChain batch, each at its own rho (thresholds in non-decreasing order,
+    valid by time-reversibility), which yields every prefix length as a
+    byproduct, and those whose thresholds reach L in a batch of their own
+    grown spec.  Up to `threads` worker threads run the chunks, which
+    depend on the phases, their models and the spec alone, so outputs do
+    not depend on `threads`.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     n_max = np.broadcast_to(np.asarray(n_max, dtype=int), phis.shape)
+    models = [model] if isinstance(model, DelayModel) else list(model)
+    if len(models) not in (1, phis.size):
+        raise ValueError(f"expected 1 or {phis.size} models, got {len(models)}")
+    if not models:
+        return np.ones((0, 1))
+    if len({(m.link, m.schedule) for m in models}) > 1:
+        raise ValueError("the models of one batch must share link and schedule")
+    link, schedule = models[0].link, models[0].schedule
+    rho = np.broadcast_to([m.step_correlation() for m in models], phis.shape)
     width = int(n_max.max(initial=0))
-    tau = model.schedule.tau
     a = np.empty((phis.size, width))
     if width > 0:
-        a[:] = g_inverse(model.link, np.arange(width) * tau + phis[:, None])
+        a[:] = g_inverse(link, np.arange(width) * schedule.tau + phis[:, None])
     # Past its own n_max a phase meets an impossible event.
     a[np.arange(width) >= n_max[:, None]] = np.inf
     q = np.ones((phis.size, width + 1))
-    rho = model.step_correlation()
-    if rho == 0.0:
-        q[:, 1:] = np.cumprod(std_normal_tail(a), axis=1)
-        return q
-    if rho == 1.0:
+    iid, frozen = rho == 0.0, rho == 1.0
+    if iid.any():
+        q[iid, 1:] = np.cumprod(std_normal_tail(a[iid]), axis=1)
+    if frozen.any():
         # Thresholds are non-decreasing, so the running max is the last one.
-        q[:, 1:] = std_normal_tail(np.maximum.accumulate(a, axis=1))
+        q[frozen, 1:] = std_normal_tail(np.maximum.accumulate(a[frozen], axis=1))
+    chained = np.flatnonzero(~(iid | frozen))
+    if not chained.size:
         return q
+    a = a[chained]
     # Cut each sweep where a single coordinate already forces zero mass.
     a[np.logical_or.accumulate(std_normal_tail(a) < _TAIL_FLOOR, axis=1)] = np.inf
     n_alive = np.sum(a < np.inf, axis=1)
     top = np.max(a, axis=1, where=a < np.inf, initial=-np.inf)
-    q[:, 1:] = 0.0
+    q[chained, 1:] = 0.0
     try:
-        size = batch_size(rho, spec)
+        size = batch_size(rho[chained].max(), spec)
     except QuadratureError:
         size = 1
 
     def run(start: int) -> None:
         batches: dict[QuadratureSpec, list[int]] = {}
-        for row, t in enumerate(top[start : start + size].tolist(), start):
+        for i, t in enumerate(top[start : start + size].tolist(), start):
             if t >= spec.L:
                 grow = t + 4.0
                 key = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
             else:
                 key = spec
-            batches.setdefault(key, []).append(row)
-        for batch_spec, rows in batches.items():
-            chain = OuChain(rho, batch_spec)
-            for j in range(int(n_alive[rows].max())):
+            batches.setdefault(key, []).append(i)
+        for batch_spec, idx in batches.items():
+            rows = chained[idx]
+            chain = OuChain(rho[rows], batch_spec)
+            for j in range(int(n_alive[idx].max())):
                 try:
-                    q[rows, j + 1] = chain.extend(a[rows, j])
+                    q[rows, j + 1] = chain.extend(a[idx, j])
                 except QuadratureError as exc:
-                    phase = rows[exc.phase]
+                    phase = int(rows[exc.phase])
                     raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
 
-    starts = range(0, phis.size, size)
+    starts = range(0, chained.size, size)
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -197,13 +213,20 @@ def aoi_support(
 
 
 def exact_ccdf_grid(
-    model: DelayModel,
+    model: DelayModel | Sequence[DelayModel],
     t_grid: Sequence[float],
     x_grid: Sequence[float],
     spec: QuadratureSpec | None = None,
     threads: int = 1,
-) -> CcdfGrid:
-    """Exact Pr(A_t > x) over the grid, from one profile per phase class."""
+) -> CcdfGrid | list[CcdfGrid]:
+    """Exact Pr(A_t > x) over the grid, from one profile per phase class.
+
+    Given a sequence of models that share link and schedule, the grid of
+    each in order, every model's phase classes in one ccdf_profiles sweep.
+    """
+    models = [model] if isinstance(model, DelayModel) else list(model)
+    if not models:
+        raise ValueError("exact_ccdf_grid needs at least one model")
     spec = spec if spec is not None else QuadratureSpec()
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -212,17 +235,24 @@ def exact_ccdf_grid(
         raise ValueError(f"x_grid must not hold NaN, got one at index {nan[0]}")
     if np.any(np.diff(t_grid) < 0) or np.any(np.diff(x_grid) < 0):
         raise ValueError("grids must be sorted ascending")
-    tau = model.schedule.tau
+    tau = models[0].schedule.tau
     k, phi = decompose_time(t_grid, tau)
     keys, cls = np.unique([_phase_key(p, tau) for p in phi.tolist()], return_inverse=True)
     # Every cell's block length at its phase class, and each class's longest.
     n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
     n_max = np.zeros(keys.size, dtype=int)
     np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
-    table = ccdf_profiles(model, keys * tau, n_max, spec, threads)
+    rows = [m for m in models for _ in range(keys.size)]
+    table = ccdf_profiles(
+        rows, np.tile(keys * tau, len(models)), np.tile(n_max, len(models)), spec, threads
+    )
+    table = table.reshape(len(models), keys.size, table.shape[1])
     # No age, not even the infinite one of a path with no arrival, exceeds +inf.
-    p = np.where(x_grid < np.inf, table[cls[:, None], n], 0.0)
-    return CcdfGrid(t_values=t_grid, x_values=x_grid, p=p)
+    grids = [
+        CcdfGrid(t_grid, x_grid, np.where(x_grid < np.inf, q[cls[:, None], n], 0.0))
+        for q in table
+    ]
+    return grids[0] if isinstance(model, DelayModel) else grids
 
 
 @dataclass

@@ -59,6 +59,16 @@ class TestGridRange:
         with pytest.raises(UsageError):
             GridRange(0.0, 1.0, 0.0)
 
+    def test_rejects_too_many_points_before_building(self):
+        # Checked on the count alone: no grid this large is ever allocated.
+        assert GridRange(0.0, 999_999.0, 1.0).size == 10**6
+        with pytest.raises(UsageError, match=r"grid has 1000001 points, over the limit of 1000000"):
+            GridRange(0.0, 1_000_000.0, 1.0)
+        with pytest.raises(UsageError, match=r"grid has 2e\+300 points"):
+            GridRange(0.0, 1e300, 0.5)
+        with pytest.raises(UsageError, match=r"grid has inf points"):
+            GridRange(-1e308, 1e308, 1.0)
+
 
 class TestRunConfig:
     def test_roundtrip_through_dict(self):
@@ -311,17 +321,23 @@ class TestCommands:
     def test_compare_computes_each_ladder_grid_once(self, config_path, tmp_path,
                                                     monkeypatch, mode, calls):
         # The run's own model is a ladder rung, so its grid serves both the
-        # z-test and the dominance check.
+        # z-test and the dominance check, and one call computes every
+        # rung's grid, each once.
         real, seen = cli.exact_ccdf_grid, []
 
-        def counted(model, *args, **kwargs):
-            seen.append(model.correlation)
-            return real(model, *args, **kwargs)
+        def counted(models, *args, **kwargs):
+            seen.append([m.correlation for m in models])
+            return real(models, *args, **kwargs)
 
         monkeypatch.setattr(cli, "exact_ccdf_grid", counted)
         main(["compare", "--config", config_path, "--out", str(tmp_path / "c"),
               "--set", f"correlation.mode={mode}", "--set", "simulation.n_paths=200"])
-        assert len(seen) == calls and len(set(seen)) == calls
+        assert len(seen) == 1
+        ladder = RunConfig.from_dict(
+            {**BASE_CONFIG, "correlation": {"mode": mode, **({"c": 10.0} if mode == "ou" else {})}}
+        ).model().correlation.ladder()
+        assert len(ladder) == calls
+        assert seen[0] == [corr for _, corr in ladder]
 
     def test_sweep_writes_rows_and_routes_limits(self, config_path, tmp_path):
         out = tmp_path / "sweep"
@@ -469,6 +485,8 @@ class TestExitCodes:
             ("t_grid.step=-1", "t_grid"),
             ('x_grid={"start": 0, "stop": Infinity, "step": 0.5}', "x_grid"),
             ('x_grid={"start": NaN, "stop": 4, "step": 0.5}', "x_grid"),
+            ("t_grid.stop=1e300", "t_grid"),
+            ('x_grid={"start": 0, "stop": 1e300, "step": 0.5}', "x_grid"),
             ("AOI_LAB_THREADS=abc", "AOI_LAB_THREADS"),
             ("AOI_LAB_THREADS=1.5", "AOI_LAB_THREADS"),
         ],

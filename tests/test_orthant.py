@@ -151,8 +151,9 @@ class AllocatingChain(OuChain):
     over every node, allocating its own temporaries: the dense, unbanded
     reference for the blocked, banded update on the same stage grids."""
 
-    def _propagate(self, targets):
-        k = _pdf((targets[:, :, None] - self.rho * self._nodes[:, None, :]) / self.sd) / self.sd
+    def _propagate(self, targets, real):
+        rho, sd = self._rho[:, None, None], self._sd[:, None, None]
+        k = _pdf((targets[:, :, None] - rho * self._nodes[:, None, :]) / sd) / sd
         return np.matmul(k, (self._weights * self._density)[:, :, None])[:, :, 0]
 
 
@@ -161,7 +162,7 @@ class FloorChain(OuChain):
     nodes per kernel width): the dense reference at large m."""
 
     def _stage_nodes(self, span):
-        return np.maximum(self.spec.m, np.ceil(2.0 * span * self.rho / self.sd))
+        return np.maximum(self.spec.m, np.ceil(2.0 * span * self._rho / self._sd))
 
 
 class TestStageUpdate:
@@ -234,6 +235,40 @@ class TestBatchedChain:
         assert got[2, 0] < 1e-14 and (frozen or got[2, 0] == 0.0)
         assert np.all(got[1, 3:] == 0.0) and np.all(got[3:, -1] > 0.0)
 
+    def test_rows_carry_their_own_rho(self):
+        # Rows at rho 0.5, 0.8746 and 0.993 share one sweep with a row at
+        # 1 - 1e-6, whose kernel-sized stages (thousands of nodes at L = 8)
+        # the other rows are padded to.  One row opens with a vacuous
+        # threshold and one ends at its fourth stage.
+        rhos = np.array([0.5, 0.8746, 0.993, 1 - 1e-6, 0.5, 0.993])
+        rng = np.random.Generator(np.random.Philox(11))
+        a = np.sort(rng.uniform(-2.0, 2.0, size=(rhos.size, 5)), axis=1)
+        a[1, 0] = -np.inf
+        a[4, 3:] = np.inf
+        spec = QuadratureSpec(m=400, L=8.0)
+        chain = OuChain(rhos, spec)
+        assert isinstance(chain.rho, float) and chain.rho == 1 - 1e-6
+        got = np.array([chain.extend(col) for col in a.T]).T
+        assert chain._nodes.shape[1] > 5_000
+        for rho, row, q in zip(rhos, a, got):
+            ref = PhaseChain(rho, spec)
+            want = [ref.extend(x) if x < np.inf else 0.0 for x in row]
+            want = np.where(np.cumsum(row == np.inf) > 0, 0.0, want)
+            assert np.max(np.abs(q - want)) <= 1e-15
+        assert np.all(got[4, 3:] == 0.0) and np.all(np.delete(got, 4, axis=0)[:, -1] > 0.0)
+
+    def test_mixed_batch_errors_name_the_row_and_its_rho(self):
+        # The chain's rho is 1 - 1e-15, whose row fits the node budget on a
+        # span of 0.005; the row at 1 - 1e-14 does not on a span of 8.
+        chain = OuChain(np.array([1 - 1e-15, 0.5, 1 - 1e-14]))
+        with pytest.raises(QuadratureError, match=rf"^rho={1 - 1e-14!r} needs") as info:
+            chain.extend(np.array([7.995, 0.0, 0.0]))
+        assert info.value.phase == 2
+        with pytest.raises(ValueError, match="expected 2 thresholds, got 3"):
+            OuChain(np.array([0.5, 0.6])).extend(np.zeros(3))
+        with pytest.raises(ValueError, match=r"rho must lie strictly in \(0, 1\), got 1.0"):
+            OuChain(np.array([0.5, 1.0]))
+
     def test_scalar_threshold_is_a_batch_of_one(self):
         chain = OuChain(0.6)
         p = chain.extend(0.2)
@@ -298,7 +333,7 @@ class TestStageGrid:
                        [-0.2, 8.0 - 1e-6, 8.0]):
             nodes, weights = (x[0] for x in chain._grid(np.array([breaks])))
             span = breaks[-1] - breaks[0]
-            widths = span * rho / chain.sd
+            widths = span * rho / np.sqrt(1.0 - rho * rho)
             n = max(math.ceil(2 * widths), min(m, max(math.ceil(3 * widths), 40)))
             h = span * 20 / n
             segments = list(zip(breaks[:-1], breaks[1:]))
@@ -318,7 +353,7 @@ class TestStageGrid:
             spec = QuadratureSpec(m=m)
             chain, floor = OuChain(rho, spec), FloorChain(rho, spec)
             for span in (1e-6, 0.5, 4.0, 16.0):
-                widths = span * rho / chain.sd
+                widths = span * rho / np.sqrt(1.0 - rho * rho)
                 n = chain._stage_nodes(span)
                 assert n <= max(m, math.ceil(2 * widths))
                 if m <= max(3 * widths, 40):

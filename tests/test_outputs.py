@@ -4,6 +4,7 @@ and serialization."""
 import json
 import math
 import os
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -285,6 +286,40 @@ class TestExactCcdfGrid:
                 assert n <= n_max[row]
                 assert grid.p[i, j] == table[row, n]
                 assert abs(grid.p[i, j] - phase_profile(model, phi, n, QuadratureSpec())[n]) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["readme", "grown"])
+    def test_ladder_in_one_sweep_matches_separate_grids(self, monkeypatch, case):
+        # The ou ladder's rungs at rho 0.72, 0.85 and 0.92 (README) or 0.37,
+        # 0.61 and 0.78 (grown) advance through one chain.  At L = 4 the
+        # censored link's thresholds j + phi reach L, so rows of all three
+        # rungs share batches of grown specs.  The iid and frozen rungs take
+        # the closed forms, as they do alone.  A work array of three
+        # full-span rows at the largest rho (120 and 40 nodes) cuts the
+        # rows into chunks of three, which mix rungs, for the threads.
+        if case == "readme":
+            model, spec, work = make_model(), QuadratureSpec(), 360
+        else:
+            link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
+            model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
+            spec, work = QuadratureSpec(m=64, L=4.0), 120
+        t_grid, x_grid = np.arange(0.5, 10.0, 0.5), np.arange(0.0, 10.0, 0.1)
+        ladder = [replace(model, correlation=corr) for _, corr in model.correlation.ladder()]
+        whole = exact_ccdf_grid(ladder, t_grid, x_grid, spec)
+        monkeypatch.setattr(orthant, "_WORK_FLOATS", work)
+        assert orthant.batch_size(ladder[3].step_correlation(), spec) == 3
+        together = [exact_ccdf_grid(ladder, t_grid, x_grid, spec, threads=t) for t in (1, 2)]
+        monkeypatch.undo()
+        for one, two, ref in zip(*together, whole):
+            assert one.p.tobytes() == two.p.tobytes()
+            assert np.max(np.abs(one.p - ref.p)) <= 1e-15
+        for rung, grid in zip(ladder, whole):
+            alone = exact_ccdf_grid(rung, t_grid, x_grid, spec)
+            if rung.correlation.kind == "ou":
+                assert np.max(np.abs(grid.p - alone.p)) <= 1e-15
+            else:
+                assert grid.p.tobytes() == alone.p.tobytes()
+        with pytest.raises(ValueError, match="must share link and schedule"):
+            exact_ccdf_grid([model, make_model(tau=0.5)], t_grid, x_grid, spec)
 
     def test_names_a_nan_in_either_grid(self):
         # A NaN passes the sortedness check, since it compares False.
