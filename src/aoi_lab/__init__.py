@@ -29,7 +29,6 @@ from .links import (
 from .orthant import (
     OuChain,
     QuadratureSpec,
-    ou_orthant,
     std_normal_tail,
 )
 from .outputs import (
@@ -49,6 +48,7 @@ from .outputs import (
     write_ccdf_csv,
     write_heatmap_csv,
     write_meta_json,
+    write_paths_csv,
     write_percentiles_csv,
     write_timeavg_csv,
 )
@@ -99,7 +99,6 @@ __all__ = [
     # orthant
     "OuChain",
     "QuadratureSpec",
-    "ou_orthant",
     "std_normal_tail",
     # outputs
     "DEFAULT_LEVELS",
@@ -118,6 +117,7 @@ __all__ = [
     "write_ccdf_csv",
     "write_heatmap_csv",
     "write_meta_json",
+    "write_paths_csv",
     "write_percentiles_csv",
     "write_timeavg_csv",
     # simulate

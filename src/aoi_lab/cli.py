@@ -38,7 +38,6 @@ from .outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
     TimeAverageEvaluator,
-    _write_table,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
@@ -46,6 +45,7 @@ from .outputs import (
     write_ccdf_csv,
     write_heatmap_csv,
     write_meta_json,
+    write_paths_csv,
     write_percentiles_csv,
     write_timeavg_csv,
 )
@@ -190,15 +190,21 @@ class RunConfig:
     def model(self) -> DelayModel:
         """Calibrate what the config gives as targets and assemble the delay
         model.  In ou mode, c = 0 selects the independent limit and
-        c = inf the frozen limit."""
-        mu_hat, s_hat = self.mu_hat, self.s_hat
-        if mu_hat is None:
+        c = inf the frozen limit.  Targets whose link overflows a float fail
+        calibration."""
+        if self.mu_hat is None:
             try:
                 target = CalibrationTarget(mu=self.mu, s=self.s, x_min=self.x_min)
             except ValueError as exc:
                 raise CalibrationError(f"infeasible target: {exc}") from exc
-            mu_hat, s_hat = calibrate_marginal(target, self.link_kind)
-        link = LinkFunction(self.link_kind, self.x_min, mu_hat, s_hat)
+            try:
+                mu_hat, s_hat = calibrate_marginal(target, self.link_kind)
+                link = LinkFunction(self.link_kind, self.x_min, mu_hat, s_hat)
+            except OverflowError as exc:
+                msg = f"target link.mu={self.mu} and link.s={self.s} overflow a float"
+                raise CalibrationError(msg) from exc
+        else:
+            link = LinkFunction(self.link_kind, self.x_min, self.mu_hat, self.s_hat)
         mode = self.mode
         if mode == "ou" and self.c in (0, math.inf):
             mode = "iid" if self.c == 0 else "frozen"
@@ -417,8 +423,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     out = cfg.out
     write_ccdf_csv(emp.grid, os.path.join(out, "empirical_ccdf.csv"), stderr=emp.stderr)
-    p, t = np.meshgrid(np.arange(n_save), t_values, indexing="ij")
-    _write_table(os.path.join(out, "paths.csv"), "path,t,age", p, t, emp.ages)
+    write_paths_csv(emp.ages, t_values, os.path.join(out, "paths.csv"))
     write_meta_json(_meta(cfg, "simulate", started), os.path.join(out, "meta.json"))
     return EXIT_OK
 
@@ -597,7 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"aoi-lab: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"aoi-lab: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CalibrationError as exc:

@@ -6,8 +6,9 @@ newest packet that has arrived.  Writing t = k*tau + phi (decompose_time,
 for one time or a whole grid), the event {A_t > x} is {the n most recent
 packets are all late}, with n given by block_length; its probability is a
 plateau value of the phase profile computed in outputs.  This module holds
-that bookkeeping, the sample-path age evaluation and arrival counting used
-by the simulator, and the CCDF grid container.
+that bookkeeping, the CCDF grid container and the simulator's kernels,
+which read one arrival table: per-path ages (aoi_path_matrix) and arrival
+counts (arrival_counts, tallied above each x by counts_above).
 """
 
 from __future__ import annotations
@@ -101,6 +102,29 @@ def _checked_paths(
     return delays, t_grid, k
 
 
+def _arrival_table(
+    delays, schedule: GenerationSchedule, t_grid: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrival table s, shape (n_packets, n_paths), t_grid as a float
+    array and the first grid time that generates each packet, for delays
+    that _checked_paths accepts.  s[i] is the least arrival time of packets
+    i and later, so the newest packet arrived by t is #{i : s_i <= t} - 1.
+    Far out, i*tau can round to at or below a t that decompose_time puts in
+    slot i - 1, so an arrival moves up to the first grid time that has
+    generated its packet."""
+    delays, t_grid, k = _checked_paths(delays, schedule, t_grid)
+    n_paths, n_packets = delays.shape
+    first = np.searchsorted(k, np.arange(n_packets))
+    generated = np.append(t_grid, np.inf)[first]
+    # One row per packet, so the suffix minimum runs down contiguous rows.
+    s = np.empty((n_packets, n_paths))
+    np.add((np.arange(n_packets) * schedule.tau)[:, None], delays.T, out=s)
+    np.maximum(s, generated[:, None], out=s)
+    for i in range(n_packets - 2, -1, -1):
+        np.minimum(s[i], s[i + 1], out=s[i])
+    return s, t_grid, first
+
+
 def aoi_path_matrix(
     delays: np.ndarray,
     schedule: GenerationSchedule,
@@ -110,72 +134,31 @@ def aoi_path_matrix(
 
     delays has shape (n_paths, n_packets); the result has shape
     (n_paths, len(t_grid)) with +inf where no packet has arrived yet.
-    Arrival ties (arrival time exactly t) count as arrived.
+    Arrival ties (arrival time exactly t) count as arrived, and the ages
+    are read off the arrival table.
     """
-    delays, t_grid, ks = _checked_paths(delays, schedule, t_grid)
-    tau = schedule.tau
-    n_packets = delays.shape[1]
-    beta = np.arange(n_packets) * tau + delays
-    ages = np.empty((delays.shape[0], t_grid.size))
-    for j, (k, t) in enumerate(zip(np.minimum(ks, n_packets - 1).tolist(), t_grid)):
-        arrived = beta[:, : k + 1] <= t
-        any_arrived = arrived.any(axis=1)
-        latest = k - np.argmax(arrived[:, ::-1], axis=1)
-        ages[:, j] = np.where(any_arrived, t - latest * tau, np.inf)
+    s, t_grid, first = _arrival_table(delays, schedule, t_grid)
+    rows = np.searchsorted(first, np.arange(t_grid.size), side="right")
+    ages = np.empty((s.shape[1], t_grid.size))
+    for j, (r, t) in enumerate(zip(rows, t_grid)):
+        count = np.count_nonzero(s[:r] <= t, axis=0)
+        ages[:, j] = np.where(count > 0, t - (count - 1) * schedule.tau, np.inf)
     return ages
-
-
-def exceedance_counts(
-    delays: np.ndarray,
-    schedule: GenerationSchedule,
-    t_grid: Sequence[float],
-    x_grid: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per observation time, the number of paths whose age exceeds each x,
-    shape (len(t_grid), len(x_grid)), and the number of infinite ages,
-    shape (len(t_grid),): the column sums of aoi_path_matrix's ages > x and
-    of its infinite ages, without building the ages.
-
-    delays and the checks are aoi_path_matrix's.  The age at t is t - L*tau
-    for the newest arrived packet L, so it takes one of a few lattice
-    values: the counts are read off the arrival lattice.  With s_i the
-    least arrival time of packets i and later, s_i is non-decreasing in i
-    and L = #{i : s_i <= t} - 1.  So C[i, j] = #{paths : s_i <= t_j}
-    (arrival_counts) gives C[L, j] - C[L + 1, j] paths of age t_j - L*tau,
-    and the paths counted above x are those of the lattice ages above x
-    (counts_above).
-    """
-    delays = np.atleast_2d(delays)
-    arrived = arrival_counts(delays, schedule, t_grid)
-    return counts_above(arrived, len(delays), schedule, t_grid, x_grid)
 
 
 def arrival_counts(
     delays: np.ndarray, schedule: GenerationSchedule, t_grid: Sequence[float]
 ) -> np.ndarray:
     """C[i, j] = #{paths : s_i <= t_j}, shape (n_packets + 1, len(t_grid)),
-    with s_i the least arrival time of packets i and later (row n_packets
-    is 0).  The counts of chunks of paths add up to those of all of them.
+    over the arrival table s (row n_packets is 0).  The counts of chunks of
+    paths add up to those of all of them.
 
     delays and the checks are aoi_path_matrix's.  Memory is one copy of
     delays, and with fewer than _CELL_COUNT_PATHS paths one boolean per
     delay.
     """
-    delays, t_grid, k = _checked_paths(delays, schedule, t_grid)
-    tau = schedule.tau
-    n_paths, n_packets = delays.shape
-    # Packet i counts at t only once decompose_time puts i among the packets
-    # generated by t, as in aoi_path_matrix.  Far out, i*tau can round to at
-    # or below a t that decompose_time puts in slot i - 1; so the arrival
-    # moves up to the first grid time that has generated the packet.
-    first = np.searchsorted(k, np.arange(n_packets))
-    generated = np.append(t_grid, np.inf)[first]
-    # One row per packet, so the suffix minimum runs down contiguous rows.
-    s = np.empty((n_packets, n_paths))
-    np.add((np.arange(n_packets) * tau)[:, None], delays.T, out=s)
-    np.maximum(s, generated[:, None], out=s)
-    for i in range(n_packets - 2, -1, -1):
-        np.minimum(s[i], s[i + 1], out=s[i])
+    s, t_grid, first = _arrival_table(delays, schedule, t_grid)
+    n_packets, n_paths = s.shape
     # C[i, j] for the packets generated by t_j.
     arrived = np.zeros((n_packets + 1, t_grid.size), dtype=np.int64)
     if n_paths >= _CELL_COUNT_PATHS:
@@ -198,9 +181,10 @@ def counts_above(
     t_grid: Sequence[float],
     x_grid: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exceedance_counts of n_paths paths from their arrival_counts: the
-    paths of lattice age t_j - L*tau above x, and the infinite ages, which
-    exceed every x but +inf."""
+    """Per t, the paths of n_paths whose age exceeds each x, shape
+    (len(t_grid), len(x_grid)), and the infinite ages, from their
+    arrival_counts C: C[L, j] - C[L + 1, j] paths have age t_j - L*tau, and
+    the infinite ages exceed every x but +inf."""
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     n_packets = arrived.shape[0] - 1

@@ -62,6 +62,17 @@ class LinkFunction:
             raise ValueError(f"mu_hat must be finite, got {self.mu_hat}")
         if not 0 < self.s_hat < math.inf:
             raise ValueError(f"s_hat must be finite and positive, got {self.s_hat}")
+        # Finite moments also keep g_apply finite for |z| < 26, past any
+        # standard-normal draw.
+        try:
+            moments = (*marginal_moments(self), lag_covariance(self, 1.0))
+        except OverflowError:
+            moments = (math.inf,)
+        if not all(map(math.isfinite, moments)):
+            raise OverflowError(
+                f"link.mu_hat={self.mu_hat} and link.s_hat={self.s_hat} give delay "
+                "moments that overflow a float"
+            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,9 @@ def calibrate_marginal(target: CalibrationTarget, kind: str) -> tuple[float, flo
     q_target = target.s / m
 
     def ratio_gap(alpha: float) -> float:
-        return math.sqrt(_censored_h2sq(alpha)) / _censored_h1(alpha) - q_target
+        # NaN where h1 underflows, so such an alpha never brackets the root.
+        h1 = _censored_h1(alpha)
+        return math.sqrt(_censored_h2sq(alpha)) / h1 - q_target if h1 > 0 else math.nan
 
     lo, hi = -5.0, 5.0
     for _ in range(20):

@@ -361,15 +361,3 @@ def batch_size(rho: float, spec: QuadratureSpec | None = None) -> int:
     """Phases of one OuChain batch at rho in (0, 1): as many as give each
     one full-span kernel row within _WORK_FLOATS, and at least one."""
     return max(_WORK_FLOATS // nodes_per_stage(rho, spec), 1)
-
-
-def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
-    """Pr(Z_i > a_i for all i) for the stationary AR(1) chain with one-step
-    correlation rho in (0, 1).  Entries of -inf are vacuous."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 1.0
-    chain = OuChain(rho, spec)
-    for ai in a:
-        chain.extend(ai)
-    return float(chain.prob[0])

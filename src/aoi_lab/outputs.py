@@ -528,6 +528,11 @@ def write_ccdf_csv(grid: CcdfGrid, path: str, stderr: np.ndarray | None = None) 
         _write_table(path, "t,x,ccdf,stderr", t, grid.x_values, grid.p, stderr)
 
 
+def write_paths_csv(ages: np.ndarray, t_values: Sequence[float], path: str) -> None:
+    """One row per (path, t) of the ages, shape (n_paths, len(t_values))."""
+    _write_table(path, "path,t,age", np.arange(len(ages))[:, None], t_values, ages)
+
+
 def write_heatmap_csv(hm: HeatmapGrid, path: str) -> None:
     _write_table(path, "t,x,pmf", np.reshape(hm.t_values, (-1, 1)), hm.x_values, hm.mass)
 

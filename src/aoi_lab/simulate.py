@@ -6,13 +6,14 @@ time-discretization error), mapped through the link function, and turned
 into arrival times.  The empirical CCDF grid used to cross-validate the
 exact engine counts, per observation time, the paths whose age exceeds
 each x.  The age at t is t - L*tau for the newest arrived packet L, so the
-counts are read off the arrival lattice (core.exceedance_counts) without
-building per-path ages: each chunk of paths adds its arrival counts, and
-the ages above each x are tallied once from their sum.  The chunks are
-drawn from one Philox generator seeded with the caller's seed, and each
-holds about _CHUNK_FLOATS floats of draws, so memory grows neither with
-the number of paths nor with the packets per path (a long horizon or a
-fine tau).  The draw is path-major and becomes the delays in place, so the
+counts are read off the arrival lattice without building per-path ages:
+each chunk of paths adds its arrival counts (core.arrival_counts), and the
+ages above each x are tallied once from their sum (core.counts_above).
+The saved ages (core.aoi_path_matrix) read the same arrival table.  The
+chunks are drawn from one Philox generator seeded with the caller's seed,
+and each holds about _CHUNK_FLOATS floats of draws, so memory grows
+neither with the number of paths nor with the packets per path (a long
+horizon or a fine tau).  The draw is path-major and becomes the delays in place, so the
 bytes do not depend on the chunk size.  The same draw yields the ages of
 its first paths on request; that is what the CLI saves as paths.csv.
 """

@@ -1,12 +1,15 @@
 """Test-only oracles for Gaussian orthant probabilities: the closed forms
 of the independent and fully-frozen limits, a plain Monte-Carlo
 estimator over the chain's covariance matrix as an independent
-cross-check of the stagewise engine, the per-phase chain sweep that
+cross-check of the stagewise engine, the orthant probability of one
+chain run coordinate by coordinate, the per-phase chain sweep that
 the batched one replaced, the percentile bisection that false position
-replaced, the elementwise bisection over array brackets that the scalar
-links._bisect replaced, and the arrival-lattice counting kernel with one
-count per (packet, time) cell, which core.arrival_counts keeps only for
-chunks of many paths."""
+replaced, and the elementwise bisection over array brackets that the
+scalar links._bisect replaced.  For the simulator: the per-path ages by
+an argmax over the arrived packets, which the arrival table replaced,
+the exceedance counts of a batch of paths from its arrival counts, and
+the arrival-lattice counting kernel with one count per (packet, time)
+cell, which core.arrival_counts keeps only for chunks of many paths."""
 
 import math
 from statistics import NormalDist
@@ -15,9 +18,9 @@ import numpy as np
 
 from aoi_lab import orthant, outputs
 from aoi_lab.errors import EvaluationError, QuadratureError
-from aoi_lab.core import _checked_paths, decompose_time
+from aoi_lab.core import _checked_paths, arrival_counts, counts_above, decompose_time
 from aoi_lab.links import g_apply, g_inverse, marginal_moments
-from aoi_lab.orthant import QuadratureSpec, std_normal_tail
+from aoi_lab.orthant import OuChain, QuadratureSpec, std_normal_tail
 
 
 def orthant_iid(a) -> float:
@@ -71,6 +74,18 @@ def mvn_orthant_mc(
         remaining -= k
     p = hits / n_samples
     return p, float(np.sqrt(p * (1.0 - p) / n_samples))
+
+
+def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
+    """Pr(Z_i > a_i for all i) for the stationary AR(1) chain with one-step
+    correlation rho in (0, 1).  Entries of -inf are vacuous."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return 1.0
+    chain = OuChain(rho, spec)
+    for ai in a:
+        chain.extend(ai)
+    return float(chain.prob[0])
 
 
 class PhaseChain:
@@ -194,8 +209,35 @@ def bisect(f, lo, hi):
         hi = np.where(inside & up, mid, hi)
 
 
+def argmax_path_matrix(delays, schedule, t_grid):
+    """core.aoi_path_matrix by an argmax over the packets generated by each
+    t: the newest of them with arrival time at most t sets the age."""
+    delays, t_grid, ks = _checked_paths(delays, schedule, t_grid)
+    tau = schedule.tau
+    n_packets = delays.shape[1]
+    beta = np.arange(n_packets) * tau + delays
+    ages = np.empty((delays.shape[0], t_grid.size))
+    for j, (k, t) in enumerate(zip(np.minimum(ks, n_packets - 1).tolist(), t_grid)):
+        arrived = beta[:, : k + 1] <= t
+        any_arrived = arrived.any(axis=1)
+        latest = k - np.argmax(arrived[:, ::-1], axis=1)
+        ages[:, j] = np.where(any_arrived, t - latest * tau, np.inf)
+    return ages
+
+
+def exceedance_counts(delays, schedule, t_grid, x_grid):
+    """Per observation time, the number of paths whose age exceeds each x,
+    shape (len(t_grid), len(x_grid)), and the number of infinite ages,
+    shape (len(t_grid),): the column sums of aoi_path_matrix's ages > x and
+    of its infinite ages, by core.counts_above over core.arrival_counts,
+    as the simulator counts them."""
+    delays = np.atleast_2d(delays)
+    arrived = arrival_counts(delays, schedule, t_grid)
+    return counts_above(arrived, len(delays), schedule, t_grid, x_grid)
+
+
 def cell_exceedance_counts(delays, schedule, t_grid, x_grid):
-    """core.exceedance_counts with one count per (packet, grid time) cell:
+    """exceedance_counts with one count per (packet, grid time) cell:
     row i of the suffix minimum of the arrival times is counted at every
     grid time from the first that has generated packet i."""
     delays, t_grid, _ = _checked_paths(delays, schedule, t_grid)

@@ -26,7 +26,7 @@ from aoi_lab.links import (
     lag_covariance,
     marginal_moments,
 )
-from aoi_lab.orthant import QuadratureSpec, ou_orthant
+from aoi_lab.orthant import QuadratureSpec
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
     aoi_support,
@@ -35,7 +35,7 @@ from aoi_lab.outputs import (
     percentiles,
 )
 from aoi_lab.simulate import simulate_empirical_ccdf
-from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
+from oracles import mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance, ou_orthant
 
 # Reference delay model used throughout: shifted-lognormal link with
 # direct parameters and a slowly-decaying OU driver.

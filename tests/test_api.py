@@ -5,6 +5,7 @@ the module where each is looked up, so renaming or moving one silently
 drops its layer from the trace.  bench/make_reference.py imports the rest.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -20,6 +21,25 @@ from aoi_lab import cli, core, links, orthant, outputs, simulate
 def test_every_exported_name_resolves():
     missing = [name for name in aoi_lab.__all__ if not hasattr(aoi_lab, name)]
     assert missing == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_and_exports_reach_no_private_name():
+    # Every name cli imports from the package's modules is public (a dunder
+    # such as __version__ is), and test-only helpers are not exported.
+    tree = ast.parse(inspect.getsource(cli))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if _private(name)] == []
+    assert [name for name in aoi_lab.__all__ if _private(name)] == []
+    assert "ou_orthant" not in aoi_lab.__all__
 
 
 @pytest.mark.parametrize(
@@ -126,7 +146,8 @@ def test_commands_build_no_quadrature_rule(tmp_path):
     code = (
         "import json, sys\n"
         "import numpy as np\n"
-        "from aoi_lab import cli, orthant\n"
+        "from aoi_lab import cli\n"
+        "from oracles import ou_orthant\n"
         "calls = []\n"
         "leggauss = np.polynomial.legendre.leggauss\n"
         "np.polynomial.legendre.leggauss = lambda n: calls.append(n) or leggauss(n)\n"
@@ -136,10 +157,11 @@ def test_commands_build_no_quadrature_rule(tmp_path):
         "rng = np.random.Generator(np.random.Philox(2024))\n"
         "for _ in range(25):\n"
         "    n = int(rng.integers(1, 7))\n"
-        "    orthant.ou_orthant(rng.uniform(-2.0, 2.0, size=n), 1 - 1e-6)\n"
+        "    ou_orthant(rng.uniform(-2.0, 2.0, size=n), 1 - 1e-6)\n"
         "print(json.dumps([exit_code, exact_calls, len(calls) - exact_calls]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoi_lab.__file__)))
+    paths = [os.path.dirname(os.path.dirname(aoi_lab.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
         [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,

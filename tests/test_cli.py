@@ -514,6 +514,32 @@ class TestExitCodes:
         assert err.startswith("aoi-lab: usage error: ") and repr(key) in err
         assert "Traceback" not in err
 
+    DIRECT = ["link.mu=null", "link.s=null"]
+
+    @pytest.mark.parametrize(
+        "overrides,code,key",
+        [
+            (DIRECT + ["link.mu_hat=0", "link.s_hat=30"], EXIT_USAGE, "link.s_hat"),
+            (DIRECT + ["link.mu_hat=400", "link.s_hat=0.5"], EXIT_USAGE, "link.mu_hat"),
+            (DIRECT + ["link.kind=censored-normal", "link.mu_hat=0", "link.s_hat=1e200"],
+             EXIT_USAGE, "link.s_hat"),
+            (DIRECT + ["link.mu_hat=0", "link.s_hat=200", "correlation.c=null",
+                       "correlation.kappa=0.05"], EXIT_USAGE, "link.s_hat"),
+            (["link.s=1e200"], EXIT_CALIBRATION, "link.s"),
+            (["link.mu=10.5", "link.s=1.4e154"], EXIT_CALIBRATION, "link.s"),
+        ],
+        ids=["s_hat", "mu_hat", "censored-s_hat", "kappa-s_hat", "target-s", "target-variance"],
+    )
+    @pytest.mark.parametrize("command", ["exact", "simulate", "compare"])
+    def test_link_whose_moments_overflow_names_its_key(self, config_path, tmp_path, capsys,
+                                                        command, overrides, code, key):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        got = main([command, "--config", config_path, "--out", str(tmp_path / "o"), *sets])
+        err = capsys.readouterr().err
+        assert got == code
+        assert key + "=" in err
+        assert "Traceback" not in err
+
     def test_non_object_config_is_usage_error(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

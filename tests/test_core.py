@@ -15,7 +15,6 @@ from aoi_lab.core import (
     aoi_path_matrix,
     block_length,
     decompose_time,
-    exceedance_counts,
 )
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -28,7 +27,7 @@ from aoi_lab.links import (
 from aoi_lab.orthant import QuadratureSpec
 from aoi_lab.outputs import aoi_support, exact_ccdf_grid
 from aoi_lab.simulate import sample_driver
-from oracles import cell_exceedance_counts
+from oracles import argmax_path_matrix, cell_exceedance_counts, exceedance_counts
 
 
 def aoi_path(delays, schedule, t_grid):
@@ -252,6 +251,35 @@ class TestAoiPaths:
         # Age measures back to the generation instant, not the arrival.
         assert ages[0, 0] == pytest.approx(0.5)
         assert np.isinf(ages[1, 0])
+
+    # (delays, tau, t_grid) per case; t_grid None draws sorted times over
+    # the horizon.  "far-out" is TestExceedanceCounts' time whose next
+    # generation instant rounds to at or below it.
+    ORACLE_CASES = {
+        "random": (lambda rng: rng.exponential(1.5, (40, 12)), 0.5, None),
+        "grid-ties": (lambda rng: rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], (40, 14)), 0.5,
+                      [0.0, 0.25, 0.5, 0.5, 1.0, 2.25, 3.0, 6.5]),
+        "zero": (lambda rng: np.zeros((5, 8)), 0.5, [0.0, 0.5, 1.0, 3.5]),
+        "one-packet": (lambda rng: rng.choice([0.0, 0.5, 1.0, 3.0], (20, 1)), 2.0,
+                       [0.0, 0.5, 1.0, 1.5]),
+        "empty-t": (lambda rng: rng.exponential(1.0, (6, 4)), 1.0, []),
+        "far-out": (lambda rng: rng.choice([0.0, 0.02, 1.0], (30, 4886)), 0.0539955720645343,
+                    [263.7143739631855 - 0.02, np.nextafter(263.7143739631855, 0),
+                     263.7143739631855, 263.7143739631855 + 1e-9]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_argmax_oracle_bit_for_bit(self, case):
+        draw, tau, t_grid = self.ORACLE_CASES[case]
+        rng = np.random.Generator(np.random.Philox(29))
+        delays = draw(rng)
+        if t_grid is None:
+            t_grid = np.sort(rng.uniform(0.0, (delays.shape[1] - 1) * tau, 25))
+        schedule = GenerationSchedule(tau)
+        got = aoi_path_matrix(delays, schedule, t_grid)
+        want = argmax_path_matrix(delays, schedule, t_grid)
+        assert got.shape == want.shape == (len(delays), len(t_grid))
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_short_delay_sequences(self):
         with pytest.raises(ValueError):

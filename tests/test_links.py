@@ -1,6 +1,7 @@
 """Link functions, moment calibration, and autocovariance matching."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestLinkValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             LinkFunction(SHIFTED_LOGNORMAL, *args)
 
+    @pytest.mark.parametrize("kind", [SHIFTED_LOGNORMAL, CENSORED_NORMAL])
+    def test_accepts_exactly_the_links_with_finite_moments(self, kind):
+        # At mu_hat = -354 the lognormal variance still fits a float at
+        # s_hat = 26.6, and exp(s_hat^2) overflows at 26.7; the censored
+        # normal's variance s_hat^2 overflows past about 1.34e154.
+        ok, bad = (26.6, 26.7) if kind == SHIFTED_LOGNORMAL else (1e154, 1e155)
+        link = LinkFunction(kind, 0.0, -354.0, ok)
+        assert all(map(math.isfinite, (*marginal_moments(link), lag_covariance(link, 1.0))))
+        with pytest.raises(OverflowError, match=re.escape(f"link.s_hat={bad}")):
+            LinkFunction(kind, 0.0, -354.0, bad)
+
     @pytest.mark.parametrize(
         "changes,name",
         [
@@ -240,6 +252,12 @@ class TestMarginalCalibration:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             calibrate_marginal(TARGET, "uniform")
+
+    def test_censored_bracket_skips_an_underflowed_mean_excess(self):
+        # Doubling the bracket reaches alphas where E[(Z - alpha)^+]
+        # underflows to 0; the target then fails to bracket.
+        with pytest.raises(CalibrationError, match="could not be bracketed"):
+            calibrate_marginal(CalibrationTarget(mu=1.0, s=1e200, x_min=0.5), CENSORED_NORMAL)
 
 
 class TestLagCovariance:

@@ -13,8 +13,15 @@ from scipy.stats import norm
 from aoi_lab import orthant, outputs
 from aoi_lab.cli import RunConfig
 from aoi_lab.errors import QuadratureError
-from aoi_lab.orthant import OuChain, QuadratureSpec, ou_orthant, std_normal_tail
-from oracles import PhaseChain, mvn_orthant_mc, orthant_frozen, orthant_iid, ou_covariance
+from aoi_lab.orthant import OuChain, QuadratureSpec, std_normal_tail
+from oracles import (
+    PhaseChain,
+    mvn_orthant_mc,
+    orthant_frozen,
+    orthant_iid,
+    ou_covariance,
+    ou_orthant,
+)
 
 # Reference joint tails computed independently by conditioning on the
 # middle coordinate(s), under which the outer coordinates of an AR(1)

@@ -25,7 +25,7 @@ from aoi_lab.links import (
     g_inverse,
 )
 from aoi_lab.errors import QuadratureError
-from aoi_lab.orthant import QuadratureSpec, ou_orthant, std_normal_tail
+from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
     PercentileRow,
@@ -42,7 +42,7 @@ from aoi_lab.outputs import (
     write_percentiles_csv,
     write_timeavg_csv,
 )
-from oracles import bisection_percentiles, phase_profile
+from oracles import bisection_percentiles, ou_orthant, phase_profile
 
 
 def make_model(kind="ou", kappa=0.0815, tau=2.0, link_kind=SHIFTED_LOGNORMAL):
