@@ -50,10 +50,10 @@ models = [DelayModel(link, corr, schedule) for _, corr in ladder]
 grids = list(zip((name for name, _ in ladder), exact_ccdf_grid(models, t_grid, x_grid)))
 print("Dominance ladder (CCDF must grow with correlation):")
 for (lo_name, lo), (hi_name, hi) in zip(grids, grids[1:]):
-    rep = dominance_check(lo, hi)
+    violation = dominance_check(lo, hi)
     print(f"  {lo_name:14s} <= {hi_name:14s}: "
-          f"{'OK' if rep.passed else 'VIOLATED'} "
-          f"(max violation {rep.max_violation:.1e})")
+          f"{'OK' if violation <= 1e-6 else 'VIOLATED'} "
+          f"(max violation {violation:.1e})")
 
 # 2. Median of the time-averaged age across (tau, c).
 print("\nMedian time-averaged age by sampling interval and correlation:")

@@ -4,59 +4,29 @@ moment calibration, stochastic-order checks, and figure-data export."""
 
 __version__ = "1.0.0"
 
-from .core import (
-    CcdfGrid,
-    GenerationSchedule,
-    aoi_path_matrix,
-    block_length,
-    decompose_time,
-)
+from .core import GenerationSchedule
 from .errors import AoiLabError, CalibrationError, EvaluationError, QuadratureError
 from .links import (
-    CENSORED_NORMAL,
-    SHIFTED_LOGNORMAL,
     CalibrationTarget,
     CorrelationMode,
     DelayModel,
     LinkFunction,
     calibrate_kappa,
     calibrate_marginal,
-    g_apply,
-    g_inverse,
     lag_covariance,
     marginal_moments,
 )
-from .orthant import (
-    OuChain,
-    QuadratureSpec,
-    std_normal_tail,
-)
+from .orthant import QuadratureSpec
 from .outputs import (
-    DEFAULT_LEVELS,
-    AoiSupport,
-    DominanceReport,
-    HeatmapGrid,
-    PercentileRow,
-    TimeAverageEvaluator,
     aoi_support,
-    ccdf_profile,
-    ccdf_profiles,
     dominance_check,
     exact_ccdf_grid,
     heatmap,
     percentiles,
     write_ccdf_csv,
     write_heatmap_csv,
-    write_meta_json,
-    write_paths_csv,
-    write_percentiles_csv,
-    write_timeavg_csv,
 )
-from .simulate import (
-    EmpiricalCcdf,
-    sample_driver,
-    simulate_empirical_ccdf,
-)
+from .simulate import simulate_empirical_ccdf
 
 
 def __getattr__(name):
@@ -70,59 +40,37 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# The names README's quick start and the demos import, the error types and
+# the version; every other public name is imported from its own module.
 __all__ = [
     "__version__",
-    # core
-    "CcdfGrid",
-    "GenerationSchedule",
-    "aoi_path_matrix",
-    "block_length",
-    "decompose_time",
     # errors
     "AoiLabError",
     "CalibrationError",
     "EvaluationError",
     "QuadratureError",
+    # core
+    "GenerationSchedule",
     # links
-    "CENSORED_NORMAL",
-    "SHIFTED_LOGNORMAL",
     "CalibrationTarget",
     "CorrelationMode",
     "DelayModel",
     "LinkFunction",
     "calibrate_kappa",
     "calibrate_marginal",
-    "g_apply",
-    "g_inverse",
     "lag_covariance",
     "marginal_moments",
     # orthant
-    "OuChain",
     "QuadratureSpec",
-    "std_normal_tail",
     # outputs
-    "DEFAULT_LEVELS",
-    "AoiSupport",
-    "DominanceReport",
-    "HeatmapGrid",
-    "PercentileRow",
-    "TimeAverageEvaluator",
     "aoi_support",
-    "ccdf_profile",
-    "ccdf_profiles",
     "dominance_check",
     "exact_ccdf_grid",
     "heatmap",
     "percentiles",
     "write_ccdf_csv",
     "write_heatmap_csv",
-    "write_meta_json",
-    "write_paths_csv",
-    "write_percentiles_csv",
-    "write_timeavg_csv",
     # simulate
-    "EmpiricalCcdf",
-    "sample_driver",
     "simulate_empirical_ccdf",
     # cli
     "RunConfig",

@@ -36,7 +36,6 @@ from .links import (
 from .orthant import QuadratureSpec, nodes_per_stage
 from .outputs import (
     DEFAULT_LEVELS,
-    PercentileRow,
     TimeAverageEvaluator,
     dominance_check,
     exact_ccdf_grid,
@@ -349,17 +348,16 @@ def _meta(
     return meta
 
 
-def _percentile_row(cfg: RunConfig, model: DelayModel, values) -> PercentileRow:
-    """The percentiles.csv row of a config and the model it builds; s is the
-    target sd, or the link's sd when the config gives direct parameters."""
-    return PercentileRow(
-        link=cfg.link_kind,
-        c=model.correlation.time_constant(model.link),
-        tau=cfg.tau,
-        s=cfg.s if cfg.s is not None else marginal_moments(model.link)[1],
-        levels=DEFAULT_LEVELS,
-        values=tuple(values),
-    )
+def _percentile_row(cfg: RunConfig, model: DelayModel, values) -> tuple:
+    """The percentiles.csv row (link, c, tau, s, values) of a config and the
+    model it builds; s is the target sd, or the link's sd when the config
+    gives direct parameters.  Finite values must not decrease in level."""
+    finite = [v for v in values if math.isfinite(v)]
+    if any(b < a for a, b in zip(finite, finite[1:])):
+        raise ValueError("percentile values must be non-decreasing in level")
+    c = model.correlation.time_constant(model.link)
+    s = cfg.s if cfg.s is not None else marginal_moments(model.link)[1]
+    return cfg.link_kind, c, cfg.tau, s, tuple(values)
 
 
 # -- commands --------------------------------------------------------------
@@ -452,15 +450,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     dominance = []
     all_dominant = True
     for (lo_label, lo), (hi_label, hi) in zip(grids, grids[1:]):
-        rep = dominance_check(lo, hi, tol=1e-6)
-        all_dominant &= rep.passed
+        violation = dominance_check(lo, hi)
+        ok = violation <= 1e-6
+        all_dominant &= ok
         dominance.append(
-            {
-                "low": lo_label,
-                "high": hi_label,
-                "passed": rep.passed,
-                "max_violation": rep.max_violation,
-            }
+            {"low": lo_label, "high": hi_label, "passed": ok, "max_violation": violation}
         )
     passed = frac_ok >= 0.99 and all_dominant
     report = {

@@ -135,7 +135,7 @@ class OuChain:
     message names that phase's rho.
     """
 
-    def __init__(self, rho, spec: QuadratureSpec | None = None):
+    def __init__(self, rho, spec: QuadratureSpec = QuadratureSpec()):
         rhos = np.atleast_1d(np.asarray(rho, dtype=float))
         if rhos.ndim != 1 or rhos.size == 0:
             raise ValueError("rho must be a scalar or a non-empty 1-D array")
@@ -144,7 +144,7 @@ class OuChain:
             raise ValueError(f"rho must lie strictly in (0, 1), got {rhos[bad[0]]}")
         # The largest correlation needs the most nodes per stage.
         self.rho = float(rhos.max())
-        self.spec = spec if spec is not None else QuadratureSpec()
+        self.spec = spec
         # Joint probability per phase, set by the first extend.
         self.prob: np.ndarray | None = None
         self.n = 0
@@ -348,7 +348,7 @@ def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     return idx.reshape(v.shape) - a.shape[1] * np.arange(a.shape[0])[:, None]
 
 
-def nodes_per_stage(rho: float, spec: QuadratureSpec | None = None) -> int | None:
+def nodes_per_stage(rho: float, spec: QuadratureSpec = QuadratureSpec()) -> int | None:
     """Nodes of OuChain's full-span stage [-L, L] at rho; None at rho 0 or
     1, whose closed forms run no chain."""
     if rho in (0.0, 1.0):
@@ -357,7 +357,7 @@ def nodes_per_stage(rho: float, spec: QuadratureSpec | None = None) -> int | Non
     return chain._grid(np.array([[-chain.spec.L, chain.spec.L]]))[0].shape[1]
 
 
-def batch_size(rho: float, spec: QuadratureSpec | None = None) -> int:
+def batch_size(rho: float, spec: QuadratureSpec = QuadratureSpec()) -> int:
     """Phases of one OuChain batch at rho in (0, 1): as many as give each
     one full-span kernel row within _WORK_FLOATS, and at least one."""
     return max(_WORK_FLOATS // nodes_per_stage(rho, spec), 1)

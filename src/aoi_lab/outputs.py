@@ -17,6 +17,10 @@ several such models from one sweep.  The time average is the exact phase
 integral of the profiles: Chebyshev interpolants of Q_phi[n] on phase
 pieces split at x_min mod tau, integrated in closed form.  Percentiles
 invert it by false position on those same pieces, to adjacent floats.
+
+The reports are plain values: heatmap gives a CcdfGrid of masses,
+dominance_check the largest violation as a float, and a percentiles.csv
+row is the tuple (link, c, tau, s, values) at DEFAULT_LEVELS.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ class AoiSupport:
 
 
 def aoi_support(
-    model: DelayModel, t: float, spec: QuadratureSpec | None = None
+    model: DelayModel, t: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> AoiSupport:
     """Atom locations and masses of the (discrete + infinite) law of A_t.
 
@@ -197,7 +201,6 @@ def aoi_support(
     c[k+1].  The link's left endpoint x_min gates the smallest achievable
     age index j_star; an age of x_min itself is achievable.
     """
-    spec = spec if spec is not None else QuadratureSpec()
     tau = model.schedule.tau
     k, phi = decompose_time(t, tau)
     c = ccdf_profile(model, phi, k + 1, spec)
@@ -216,7 +219,7 @@ def exact_ccdf_grid(
     model: DelayModel | Sequence[DelayModel],
     t_grid: Sequence[float],
     x_grid: Sequence[float],
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
     threads: int = 1,
 ) -> CcdfGrid | list[CcdfGrid]:
     """Exact Pr(A_t > x) over the grid, from one profile per phase class.
@@ -227,7 +230,6 @@ def exact_ccdf_grid(
     models = [model] if isinstance(model, DelayModel) else list(model)
     if not models:
         raise ValueError("exact_ccdf_grid needs at least one model")
-    spec = spec if spec is not None else QuadratureSpec()
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     nan = np.flatnonzero(np.isnan(x_grid))
@@ -255,28 +257,20 @@ def exact_ccdf_grid(
     return grids[0] if isinstance(model, DelayModel) else grids
 
 
-@dataclass
-class HeatmapGrid:
-    """Per-cell mass Pr(A_t > x) - Pr(A_t > x + delta)."""
-
-    t_values: np.ndarray
-    x_values: np.ndarray
-    mass: np.ndarray
-
-
-def heatmap(grid: CcdfGrid, delta: float) -> HeatmapGrid:
-    """Finite-difference mass of the CCDF grid at lag delta in x.
+def heatmap(grid: CcdfGrid, delta: float) -> CcdfGrid:
+    """Finite-difference mass Pr(A_t > x) - Pr(A_t > x + delta) of the CCDF
+    grid, as a grid over the x values that have a partner delta above.
 
     The x grid must be uniform with delta an integer multiple of its step.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     x = grid.x_values
     if x.size < 2:
         raise ValueError("x grid too small for a heatmap")
     steps = np.diff(x)
     step = steps[0]
-    if not np.allclose(steps, step, rtol=0, atol=1e-9 * max(step, 1.0)):
+    if not step > 0 or not np.allclose(steps, step, rtol=0, atol=1e-9 * max(step, 1.0)):
         raise ValueError("x grid must be uniformly spaced")
     lag = int(round(delta / step))
     if lag < 1 or abs(lag * step - delta) > 1e-9 * max(delta, 1.0):
@@ -288,11 +282,7 @@ def heatmap(grid: CcdfGrid, delta: float) -> HeatmapGrid:
     mass = grid.p[:, :-lag] - grid.p[:, lag:]
     if np.any(mass < -1e-12):
         raise EvaluationError("CCDF grid is not non-increasing in x")
-    return HeatmapGrid(
-        t_values=grid.t_values,
-        x_values=x[:-lag],
-        mass=np.clip(mass, 0.0, None),
-    )
+    return CcdfGrid(grid.t_values, x[:-lag], mass)
 
 
 class TimeAverageEvaluator:
@@ -307,10 +297,10 @@ class TimeAverageEvaluator:
     """
 
     def __init__(
-        self, model: DelayModel, spec: QuadratureSpec | None = None, threads: int = 1
+        self, model: DelayModel, spec: QuadratureSpec = QuadratureSpec(), threads: int = 1
     ):
         self.model = model
-        self.spec = spec if spec is not None else QuadratureSpec()
+        self.spec = spec
         self.threads = threads
         tau = model.schedule.tau
         # decompose_time snaps b: 0.5 % 0.1 is 0.09999999999999998, not 0.
@@ -361,30 +351,13 @@ class TimeAverageEvaluator:
         return float(out[0]) if np.ndim(x) == 0 else out
 
 
-@dataclass
-class PercentileRow:
-    """Percentiles of the time-averaged AoI law for one model setting."""
-
-    link: str
-    c: float
-    tau: float
-    s: float
-    levels: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        finite = [v for v in self.values if math.isfinite(v)]
-        if any(b < a for a, b in zip(finite, finite[1:])):
-            raise ValueError("percentile values must be non-decreasing in level")
-
-
 DEFAULT_LEVELS = (0.10, 0.25, 0.50, 0.75, 0.90)
 
 
 def percentiles(
     model: DelayModel,
     levels: Sequence[float] = DEFAULT_LEVELS,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = QuadratureSpec(),
     x_ceiling: float | None = None,
     evaluator: TimeAverageEvaluator | None = None,
     threads: int = 1,
@@ -402,12 +375,14 @@ def percentiles(
     edge of the phase pieces, so one evaluation at the knots below hi
     brackets each level.  Safeguarded false position shrinks all brackets
     together, keeping F_avg(lo) > 1 - p >= F_avg(hi), until hi is the float
-    after lo.  An evaluator built here computes its profiles on `threads`
-    threads.
+    after lo.  A given evaluator must be the model's own; one built here
+    computes its profiles on `threads` threads.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
-    ev = evaluator or TimeAverageEvaluator(model, spec, threads)
+    ev = evaluator if evaluator is not None else TimeAverageEvaluator(model, spec, threads)
+    if ev.model != model:
+        raise ValueError("the evaluator was built for another model")
     tau = model.schedule.tau
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay
@@ -440,36 +415,18 @@ def percentiles(
         lo, hi, g_lo, g_hi = pts[rows, j - 1], pts[rows, j], g[rows, j - 1], g[rows, j]
 
 
-@dataclass
-class DominanceReport:
-    """Pointwise comparison of two CCDF grids (stochastic-order check)."""
-
-    passed: bool
-    max_violation: float
-    worst_t: float
-    worst_x: float
-    tol: float
-
-
-def dominance_check(
-    grid_low: CcdfGrid, grid_high: CcdfGrid, tol: float = 1e-6
-) -> DominanceReport:
-    """Verify grid_low <= grid_high + tol cellwise (low = less correlated)."""
+def dominance_check(grid_low: CcdfGrid, grid_high: CcdfGrid) -> float:
+    """Largest excess of grid_low over grid_high over the cells (low = less
+    correlated): 0.0 where grid_low <= grid_high everywhere or the grids are
+    empty, and NaN where a cell is NaN."""
     if grid_low.p.shape != grid_high.p.shape or not (
         np.allclose(grid_low.t_values, grid_high.t_values)
         and np.allclose(grid_low.x_values, grid_high.x_values)
     ):
         raise ValueError("dominance check requires identical (t, x) grids")
-    diff = grid_low.p - grid_high.p
-    idx = np.unravel_index(np.argmax(diff), diff.shape)
-    worst = float(diff[idx])
-    return DominanceReport(
-        passed=worst <= tol,
-        max_violation=max(worst, 0.0),
-        worst_t=float(grid_low.t_values[idx[0]]),
-        worst_x=float(grid_low.x_values[idx[1]]),
-        tol=tol,
-    )
+    worst = float(np.max(grid_low.p - grid_high.p, initial=0.0))
+    # A cell at -0.0 is no violation either.
+    return 0.0 if worst == 0.0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +490,22 @@ def write_paths_csv(ages: np.ndarray, t_values: Sequence[float], path: str) -> N
     _write_table(path, "path,t,age", np.arange(len(ages))[:, None], t_values, ages)
 
 
-def write_heatmap_csv(hm: HeatmapGrid, path: str) -> None:
-    _write_table(path, "t,x,pmf", np.reshape(hm.t_values, (-1, 1)), hm.x_values, hm.mass)
+def write_heatmap_csv(hm: CcdfGrid, path: str) -> None:
+    """The heatmap's grid of masses, under the header t,x,pmf."""
+    _write_table(path, "t,x,pmf", np.reshape(hm.t_values, (-1, 1)), hm.x_values, hm.p)
 
 
 def write_timeavg_csv(x_values: Sequence[float], values: Sequence[float], path: str) -> None:
     _write_table(path, "x,ccdf_avg", x_values, values)
 
 
-def write_percentiles_csv(rows: Iterable[PercentileRow], path: str) -> None:
-    rows = list(rows)
-    levels = rows[0].levels if rows else DEFAULT_LEVELS
-    cols = ",".join(f"p{int(round(100 * p))}" for p in levels)
+def write_percentiles_csv(rows: Iterable[tuple], path: str) -> None:
+    """One line per row (link, c, tau, s, values), values at DEFAULT_LEVELS."""
+    cols = ",".join(f"p{int(round(100 * p))}" for p in DEFAULT_LEVELS)
     lines = [f"link,c,tau,s,{cols}"]
-    for r in rows:
-        vals = ",".join(_fmt(v) for v in r.values)
-        lines.append(f"{r.link},{_fmt(r.c)},{_fmt(r.tau)},{_fmt(r.s)},{vals}")
+    for link, c, tau, s, values in rows:
+        vals = ",".join(_fmt(v) for v in values)
+        lines.append(f"{link},{_fmt(c)},{_fmt(tau)},{_fmt(s)},{vals}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

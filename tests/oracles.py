@@ -76,7 +76,7 @@ def mvn_orthant_mc(
     return p, float(np.sqrt(p * (1.0 - p) / n_samples))
 
 
-def ou_orthant(a, rho: float, spec: QuadratureSpec | None = None) -> float:
+def ou_orthant(a, rho: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Pr(Z_i > a_i for all i) for the stationary AR(1) chain with one-step
     correlation rho in (0, 1).  Entries of -inf are vacuous."""
     a = np.asarray(a, dtype=float)
@@ -92,10 +92,10 @@ class PhaseChain:
     """One phase's chain, stage by stage: orthant.OuChain as it was before
     it took a batch axis, with the same stage rule, grids and banding."""
 
-    def __init__(self, rho: float, spec: QuadratureSpec | None = None):
+    def __init__(self, rho: float, spec: QuadratureSpec = QuadratureSpec()):
         self.rho = float(rho)
         self.sd = float(np.sqrt(1.0 - rho * rho))
-        self.spec = spec if spec is not None else QuadratureSpec()
+        self.spec = spec
         self.prob = 1.0
         self.n = 0
         self._nodes = self._weights = self._density = self._lo = None
@@ -178,7 +178,7 @@ def phase_profile(model, phi: float, n_max: int, spec: QuadratureSpec) -> np.nda
     return q
 
 
-def bisection_percentiles(model, levels, spec=None, x_ceiling=None, evaluator=None):
+def bisection_percentiles(model, levels, spec=QuadratureSpec(), x_ceiling=None, evaluator=None):
     """Percentiles of the time-averaged AoI law by one vectorized bisection
     over [0, hi], to adjacent floats, with outputs.percentiles' bracket
     start, doubling and +inf rule."""

@@ -187,7 +187,7 @@ def test_criterion_6_correlation_dominance(capsys):
     grids = [exact_ccdf_grid(m, t_grid, x_grid, threads=2) for m in ladder]
     worst = 0.0
     for lo, hi in zip(grids, grids[1:]):
-        worst = max(worst, dominance_check(lo, hi, tol=1e-6).max_violation)
+        worst = max(worst, dominance_check(lo, hi))
     report(
         capsys,
         "6 correlation dominance ladder",

@@ -23,6 +23,34 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _package_imports(source: str) -> set[str]:
+    """The names a script imports from the aoi_lab package itself."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "aoi_lab" and node.level == 0
+        for alias in node.names
+    }
+
+
+def test_exports_are_what_readme_and_the_demos_import():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    quick_start = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    used = _package_imports(quick_start.split("```", 1)[0])
+    demos = os.path.join(ROOT, "demos")
+    for name in sorted(os.listdir(demos)):
+        if name.endswith(".py"):
+            with open(os.path.join(demos, name)) as fh:
+                used |= _package_imports(fh.read())
+    errors = {"AoiLabError", "CalibrationError", "EvaluationError", "QuadratureError"}
+    assert len(used) == 19
+    assert sorted(aoi_lab.__all__) == sorted(used | errors | {"__version__"})
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

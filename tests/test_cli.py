@@ -540,6 +540,15 @@ class TestExitCodes:
         assert key + "=" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_names_its_key(self, config_path, tmp_path, capsys, delta):
+        got = main(["exact", "--config", config_path, "--out", str(tmp_path / "o"),
+                    "--set", f"delta={delta}"])
+        err = capsys.readouterr().err
+        assert got == EXIT_USAGE
+        assert "delta" in err
+        assert "Traceback" not in err
+
     def test_non_object_config_is_usage_error(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

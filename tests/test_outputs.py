@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from aoi_lab import orthant, outputs
+from aoi_lab import cli, orthant, outputs
 from aoi_lab.cli import RunConfig
 from aoi_lab.core import GenerationSchedule, block_length, decompose_time
 from aoi_lab.links import (
@@ -28,7 +28,6 @@ from aoi_lab.errors import QuadratureError
 from aoi_lab.orthant import QuadratureSpec, std_normal_tail
 from aoi_lab.outputs import (
     DEFAULT_LEVELS,
-    PercentileRow,
     TimeAverageEvaluator,
     ccdf_profile,
     ccdf_profiles,
@@ -349,8 +348,10 @@ class TestHeatmap:
     def test_mass_is_ccdf_difference(self):
         grid = exact_ccdf_grid(make_model(), [4.5], np.arange(0.0, 6.0, 0.1))
         hm = heatmap(grid, 0.1)
-        assert np.allclose(hm.mass[0], grid.p[0, :-1] - grid.p[0, 1:], atol=1e-15)
-        assert np.all(hm.mass >= 0)
+        assert np.allclose(hm.p[0], grid.p[0, :-1] - grid.p[0, 1:], atol=1e-15)
+        assert np.all(hm.p >= 0)
+        assert np.array_equal(hm.t_values, grid.t_values)
+        assert np.array_equal(hm.x_values, grid.x_values[:-1])
 
     def test_multi_step_lag(self):
         grid = exact_ccdf_grid(make_model(), [4.5], np.arange(0.0, 6.0, 0.1))
@@ -366,6 +367,19 @@ class TestHeatmap:
         grid = exact_ccdf_grid(make_model(), [4.5], [0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
             heatmap(grid, 0.1)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf, 0.0, -0.1])
+    def test_rejects_a_delta_that_is_not_positive_and_finite(self, delta):
+        grid = exact_ccdf_grid(make_model(), [4.5], np.arange(0.0, 6.0, 0.1))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            heatmap(grid, delta)
+
+    @pytest.mark.parametrize("x_grid", [[0.5, 0.5], [0.5, 0.5, 0.5], [0.0, 0.0, 0.1]])
+    def test_a_repeated_x_is_not_uniform(self, x_grid):
+        grid = exact_ccdf_grid(make_model(), [4.5], x_grid)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                heatmap(grid, 0.1)
 
 
 class TestTimeAverage:
@@ -541,8 +555,19 @@ class TestPercentiles:
             percentiles(make_model(), (0.0, 0.5))
 
     def test_percentile_row_validates_order(self):
+        cfg = RunConfig(mu=1.0, s=0.75, c=1.0)
         with pytest.raises(ValueError):
-            PercentileRow("shifted-lognormal", 1.0, 2.0, 0.75, (0.1, 0.9), (2.0, 1.0))
+            cli._percentile_row(cfg, make_model(), (2.0, 1.0))
+        assert cli._percentile_row(cfg, make_model(), (1.0, math.inf, 2.0))[4] == (
+            1.0, math.inf, 2.0,
+        )
+
+    def test_rejects_an_evaluator_of_another_model(self):
+        model, other = make_model("iid", tau=0.5), make_model()
+        with pytest.raises(ValueError, match="another model"):
+            percentiles(model, (0.5,), evaluator=TimeAverageEvaluator(other))
+        ev = TimeAverageEvaluator(make_model("iid", tau=0.5))
+        assert np.array_equal(percentiles(model, (0.5,), evaluator=ev), percentiles(model, (0.5,)))
 
 
 class TestDominance:
@@ -556,16 +581,30 @@ class TestDominance:
             exact_ccdf_grid(make_model("frozen"), t_grid, x_grid),
         ]
         for lo, hi in zip(grids, grids[1:]):
-            report = dominance_check(lo, hi)
-            assert report.passed, report
+            violation = dominance_check(lo, hi)
+            assert violation <= 1e-6, violation
 
     def test_detects_violation(self):
         t_grid, x_grid = [4.5], np.arange(0.0, 6.0, 0.5)
         hi = exact_ccdf_grid(make_model("iid"), t_grid, x_grid)
         lo = exact_ccdf_grid(make_model("frozen"), t_grid, x_grid)
-        report = dominance_check(lo, hi)
-        assert not report.passed
-        assert report.max_violation > 1e-3
+        violation = dominance_check(lo, hi)
+        assert violation > 1e-6
+        assert violation > 1e-3
+        # The reverse order holds, so there is no violation at all.
+        assert dominance_check(hi, lo) == 0.0
+
+    def test_empty_grids_have_no_violation(self):
+        for t_grid, x_grid in (([], [0.5]), ([4.5], [])):
+            empty = exact_ccdf_grid(make_model(), t_grid, x_grid)
+            assert dominance_check(empty, empty) == 0.0
+
+    def test_no_violation_is_positive_zero_and_nan_propagates(self):
+        zero = outputs.CcdfGrid([1.0], [0.5, 1.0], [[0.0, 0.0]])
+        negative_zero = outputs.CcdfGrid([1.0], [0.5, 1.0], [[-0.0, -0.0]])
+        assert math.copysign(1.0, dominance_check(negative_zero, zero)) == 1.0
+        nan = outputs.CcdfGrid([1.0], [0.5, 1.0], [[0.0, math.nan]])
+        assert math.isnan(dominance_check(nan, zero))
 
     def test_rejects_mismatched_grids(self):
         a = exact_ccdf_grid(make_model(), [4.5], [0.0, 1.0])
@@ -596,11 +635,11 @@ class TestSerialization:
     @staticmethod
     def check_grid_rows(path, writer, t, x, p, cells):
         # The rows are those of formatting every cell's numbers together.
+        grid = outputs.CcdfGrid(t, x, p)
         if writer == "heatmap":
-            write_heatmap_csv(outputs.HeatmapGrid(t, x, cells), str(path))
-            columns = (cells,)
+            write_heatmap_csv(grid, str(path))
+            columns = (p,)
         else:
-            grid = outputs.CcdfGrid(t, x, p)
             stderr = cells if writer == "ccdf+stderr" else None
             write_ccdf_csv(grid, str(path), stderr)
             columns = (p,) if stderr is None else (p, cells)
@@ -643,14 +682,7 @@ class TestSerialization:
         assert path.read_text() == "x,ccdf_avg\n0,1\n1,0.5\n"
 
     def test_percentiles_csv_infinity_sentinel(self, tmp_path):
-        row = PercentileRow(
-            "shifted-lognormal",
-            math.inf,
-            2.0,
-            0.75,
-            DEFAULT_LEVELS,
-            (1.0, 2.0, 3.0, 4.0, math.inf),
-        )
+        row = ("shifted-lognormal", math.inf, 2.0, 0.75, (1.0, 2.0, 3.0, 4.0, math.inf))
         path = tmp_path / "p.csv"
         write_percentiles_csv([row], str(path))
         lines = path.read_text().strip().split("\n")
