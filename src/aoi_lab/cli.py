@@ -33,7 +33,7 @@ from .links import (
     lag_covariance,
     marginal_moments,
 )
-from .orthant import QuadratureSpec, nodes_per_stage
+from .orthant import L, QuadratureSpec, nodes_per_stage
 from .outputs import (
     DEFAULT_LEVELS,
     TimeAverageEvaluator,
@@ -113,7 +113,6 @@ class RunConfig:
     x_grid: GridRange = field(default_factory=lambda: GridRange(0.0, 10.0, 0.02))
     delta: float = 0.02
     quad_m: int = 400
-    quad_l: float = 8.0
     n_paths: int = 500
     n_saved_paths: int = 500
     seed: int = 1
@@ -143,12 +142,10 @@ class RunConfig:
             value = getattr(self, _CONFIG_KEYS[key][0])
             if value < least:
                 raise UsageError(f"config key {key!r} must be >= {least}, got {value}")
-        quadrature = {"quadrature.m": {"m": self.quad_m}, "quadrature.L": {"L": self.quad_l}}
-        for key, arg in quadrature.items():
-            try:
-                QuadratureSpec(**arg)
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
+        try:
+            self.quadrature()
+        except ValueError as exc:
+            raise UsageError(f"config key 'quadrature.m': {exc}") from exc
 
     # -- nested-dict round trip ------------------------------------------
 
@@ -157,6 +154,7 @@ class RunConfig:
         for key, (name, _) in _CONFIG_KEYS.items():
             value = getattr(self, name)
             _set_nested(doc, key, asdict(value) if isinstance(value, GridRange) else value)
+        _set_nested(doc, "quadrature.L", L)
         return doc
 
     @classmethod
@@ -165,11 +163,11 @@ class RunConfig:
         _CONFIG_KEYS, and absent keys take the field defaults."""
         kwargs = {}
         for key, value in _leaves(d):
-            if key == "quadrature.rule":
-                # Gauss-Legendre is the only rule; the key is accepted for
-                # configs that name it.
-                if value != "gauss-legendre":
-                    raise UsageError(f"unknown quadrature rule {value!r}")
+            if key in _FIXED_KEYS:
+                if value != _FIXED_KEYS[key]:
+                    raise UsageError(
+                        f"config key {key!r} must be {_FIXED_KEYS[key]!r}, got {value!r}"
+                    )
                 continue
             if key not in _CONFIG_KEYS:
                 what = "must be an object" if key in _SECTIONS else "is unknown"
@@ -184,7 +182,7 @@ class RunConfig:
     # -- model construction ----------------------------------------------
 
     def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(m=self.quad_m, L=self.quad_l)
+        return QuadratureSpec(m=self.quad_m)
 
     def model(self) -> DelayModel:
         """Calibrate what the config gives as targets and assemble the delay
@@ -248,13 +246,15 @@ _CONFIG_KEYS = {
     "x_grid": ("x_grid", _grid),
     "delta": ("delta", float),
     "quadrature.m": ("quad_m", _integer),
-    "quadrature.L": ("quad_l", float),
     "simulation.n_paths": ("n_paths", _integer),
     "simulation.n_saved_paths": ("n_saved_paths", _integer),
     "simulation.seed": ("seed", _integer),
     "threads": ("threads", _integer),
     "out": ("out", str),
 }
+# Keys accepted only at their one value, for configs that name it: the
+# truncation half-width and the Gauss-Legendre rule are fixed.
+_FIXED_KEYS = {"quadrature.L": L, "quadrature.rule": "gauss-legendre"}
 _SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS if "." in key}
 # Counts checked where a config is built, before any model is.
 _COUNT_FLOORS = {"simulation.n_paths": 1, "simulation.n_saved_paths": 0, "threads": 1}
@@ -330,7 +330,7 @@ def _meta(
     """The run's meta.json record.  Given the model whose chains the command
     ran, quadrature.nodes_per_stage is the node count of a full-span stage
     at its rho (null where a closed form runs no chain)."""
-    quadrature = {"m": cfg.quad_m, "L": cfg.quad_l}
+    quadrature = {"m": cfg.quad_m, "L": L}
     if model is not None:
         quadrature["nodes_per_stage"] = nodes_per_stage(
             model.step_correlation(), cfg.quadrature()

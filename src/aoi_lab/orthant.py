@@ -13,6 +13,10 @@ _WORK_FLOATS floats.  Each row carries its own rho, so chains of several
 correlations share one sweep; OuChain.rho is the batch's largest.
 Every quadrature, here and in the censored-normal lag integral of links,
 applies one Gauss-Legendre rule of _PANEL_ORDER nodes on panels (_panels).
+Every stage truncates the state to [-L, L], a constant L = 8 standard
+deviations, and a threshold at or past L is an impossible event: its tail
+is below std_normal_tail(L) = 6.2e-16, under the 1e-15 at which
+outputs.ccdf_profiles already cuts a coordinate as dead.
 The limits rho = 0 and rho = 1 have closed forms, which
 outputs.ccdf_profiles writes out.
 """
@@ -32,6 +36,10 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # Below this running probability the chain is treated as extinct.
 _TINY_PROB = 1e-300
+
+# Truncation half-width of every stage, in sd: std_normal_tail(L) = 6.2e-16
+# lies below outputs._TAIL_FLOOR, so no live threshold reaches it.
+L = 8.0
 
 # Nodes of the one Gauss-Legendre rule, computed once, that every panel uses.
 _PANEL_ORDER = 20
@@ -74,23 +82,20 @@ def _std_normal_pdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Discretization controls for the stagewise tail recursion.
+    """Discretization control for the stagewise tail recursion.
 
     m caps the nodes per stage, laid out in Gauss-Legendre panels of
     _PANEL_ORDER nodes.  OuChain sizes each stage from its kernel, and
     the 2 nodes per kernel width that resolve a narrow kernel override the
     cap; an m above the count of OuChain's accuracy rule changes nothing.
-    L is the truncation half-width in standard-normal units.
+    The truncation half-width is the module's L.
     """
 
     m: int = 400
-    L: float = 8.0
 
     def __post_init__(self):
         if self.m < 16:
             raise ValueError(f"m must be >= 16, got {self.m}")
-        if not 4 <= self.L < math.inf:
-            raise ValueError(f"L must be finite and >= 4, got {self.L}")
 
 
 def _panels(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -118,11 +123,12 @@ class OuChain:
     phase's newest state given all its prior events is carried on
     _PANEL_ORDER-node Gauss-Legendre panels over [max(a_n, -L), L];
     thresholds of -inf are clamped to -L and contribute a factor that
-    integrates to 1, and a threshold of +inf ends its phase at 0.  All
-    state is (P, n): each phase's panels are padded up to the batch's
-    widest grid with zero-width panels at L, whose nodes carry zero
-    weight and so add nothing.  A phase at probability 0 stays at 0 and
-    drops out of the arrays.
+    integrates to 1, and a threshold of L or more, +inf included, is an
+    impossible event that ends its phase at 0.  All state is (P, n): each
+    phase's panels are padded up to the batch's widest grid with
+    zero-width panels at L, whose nodes carry zero weight and so add
+    nothing.  A phase at probability 0 stays at 0 and drops out of the
+    arrays.
 
     Every stage, at every rho, takes the Nystrom update of _propagate.  In
     the previous state u its kernel has width sd/rho, and a stage grid
@@ -166,7 +172,6 @@ class OuChain:
         self._work = np.empty(0)
 
     def extend(self, a):
-        spec = self.spec
         thresholds = np.asarray(a, dtype=float)
         batch = np.atleast_1d(thresholds)
         if batch.ndim != 1:
@@ -182,20 +187,13 @@ class OuChain:
             raise ValueError(f"expected {self.prob.size} thresholds, got {batch.size}")
         if np.isnan(batch).any():
             raise ValueError("threshold must not be NaN")
-        over = np.flatnonzero((batch >= spec.L) & (batch < np.inf))
-        if over.size:
-            raise QuadratureError(
-                f"threshold {batch[over[0]]} reaches truncation half-width "
-                f"L={spec.L}; enlarge L",
-                phase=int(over[0]),
-            )
         self.n += 1
         a_live = batch[self._rows]
-        finite = a_live < np.inf
-        self._keep(finite)
+        possible = a_live < L
+        self._keep(possible)
         if self._rows.size:
             try:
-                self._stage(a_live[finite])
+                self._stage(a_live[possible])
             except QuadratureError as exc:
                 exc.phase = int(self._rows[exc.phase])
                 raise
@@ -204,16 +202,11 @@ class OuChain:
 
     def _stage(self, a: np.ndarray) -> None:
         """Condition the live phases on {Z_n > a}, one threshold each."""
-        L = self.spec.L
         lo_new = np.maximum(a, -L)
         if self.n == 1:
+            # Every a < L has a tail above std_normal_tail(L) >> _TINY_PROB.
             tail = std_normal_tail(a)
             self.prob[self._rows] = tail
-            born = tail >= _TINY_PROB
-            self._keep(born)
-            if not born.any():
-                return
-            lo_new, tail = lo_new[born], tail[born]
             nodes, weights = self._grid(np.stack([lo_new, np.full_like(lo_new, L)], axis=1))
             raw = _std_normal_pdf(nodes)
         else:
@@ -353,8 +346,7 @@ def nodes_per_stage(rho: float, spec: QuadratureSpec = QuadratureSpec()) -> int 
     1, whose closed forms run no chain."""
     if rho in (0.0, 1.0):
         return None
-    chain = OuChain(rho, spec)
-    return chain._grid(np.array([[-chain.spec.L, chain.spec.L]]))[0].shape[1]
+    return OuChain(rho, spec)._grid(np.array([[-L, L]]))[0].shape[1]
 
 
 def batch_size(rho: float, spec: QuadratureSpec = QuadratureSpec()) -> int:

@@ -42,7 +42,8 @@ from .orthant import OuChain, QuadratureSpec, batch_size, std_normal_tail
 
 # Joint tails are bounded by the smallest single-coordinate tail; once a
 # threshold's own tail drops below this, the block probability is zero at
-# double precision and no quadrature is attempted.
+# double precision and no quadrature is attempted.  No threshold that
+# passes the cut reaches the chain's truncation half-width orthant.L.
 _TAIL_FLOOR = 1e-15
 
 # Number of decimals of phi/tau used to identify a phase class.
@@ -92,8 +93,7 @@ def ccdf_profiles(
     names the failure.  A chunk's phases advance in lockstep through one
     OuChain batch, each at its own rho (thresholds in non-decreasing order,
     valid by time-reversibility), which yields every prefix length as a
-    byproduct, and those whose thresholds reach L in a batch of their own
-    grown spec.  Up to `threads` worker threads run the chunks, which
+    byproduct.  Up to `threads` worker threads run the chunks, which
     depend on the phases, their models and the spec alone, so outputs do
     not depend on `threads`.
     """
@@ -128,7 +128,6 @@ def ccdf_profiles(
     # Cut each sweep where a single coordinate already forces zero mass.
     a[np.logical_or.accumulate(std_normal_tail(a) < _TAIL_FLOOR, axis=1)] = np.inf
     n_alive = np.sum(a < np.inf, axis=1)
-    top = np.max(a, axis=1, where=a < np.inf, initial=-np.inf)
     q[chained, 1:] = 0.0
     try:
         size = batch_size(rho[chained].max(), spec)
@@ -136,23 +135,15 @@ def ccdf_profiles(
         size = 1
 
     def run(start: int) -> None:
-        batches: dict[QuadratureSpec, list[int]] = {}
-        for i, t in enumerate(top[start : start + size].tolist(), start):
-            if t >= spec.L:
-                grow = t + 4.0
-                key = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
-            else:
-                key = spec
-            batches.setdefault(key, []).append(i)
-        for batch_spec, idx in batches.items():
-            rows = chained[idx]
-            chain = OuChain(rho[rows], batch_spec)
-            for j in range(int(n_alive[idx].max())):
-                try:
-                    q[rows, j + 1] = chain.extend(a[idx, j])
-                except QuadratureError as exc:
-                    phase = int(rows[exc.phase])
-                    raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
+        idx = slice(start, start + size)
+        rows = chained[idx]
+        chain = OuChain(rho[rows], spec)
+        for j in range(int(n_alive[idx].max())):
+            try:
+                q[rows, j + 1] = chain.extend(a[idx, j])
+            except QuadratureError as exc:
+                phase = int(rows[exc.phase])
+                raise QuadratureError(f"phase phi={phis[phase]}: {exc}", phase) from exc
 
     starts = range(0, chained.size, size)
     if threads > 1 and len(starts) > 1:
@@ -338,11 +329,14 @@ class TimeAverageEvaluator:
         return self._base[piece, n] + chebyshev.chebval(t, self._anti[:, piece, n], tensor=False)
 
     def value(self, x):
-        """F_avg at x, a scalar or an array; the profiles grow once to the
-        longest block the largest x needs."""
+        """F_avg at x, a scalar or an array (empty gives empty); the
+        profiles grow once to the longest block the largest x needs."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all((xs >= 0) & (xs < np.inf)):
-            raise ValueError(f"x must be finite and non-negative, got {x}")
+        bad = ~((xs >= 0) & (xs < np.inf))
+        if bad.any():
+            raise ValueError(f"x must be finite and non-negative, got {xs[bad].flat[0]}")
+        if not xs.size:
+            return xs
         tau = self.model.schedule.tau
         j = np.floor(xs / tau).astype(int)
         phi = np.clip(xs - j * tau, 0.0, tau)
@@ -375,14 +369,17 @@ def percentiles(
     edge of the phase pieces, so one evaluation at the knots below hi
     brackets each level.  Safeguarded false position shrinks all brackets
     together, keeping F_avg(lo) > 1 - p >= F_avg(hi), until hi is the float
-    after lo.  A given evaluator must be the model's own; one built here
-    computes its profiles on `threads` threads.
+    after lo.  No levels give an empty array.  A given evaluator must be
+    the model's own; one built here computes its profiles on `threads`
+    threads.
     """
     if any(not 0 < p < 1 for p in levels):
         raise ValueError("levels must lie strictly in (0, 1)")
     ev = evaluator if evaluator is not None else TimeAverageEvaluator(model, spec, threads)
     if ev.model != model:
         raise ValueError("the evaluator was built for another model")
+    if not len(levels):
+        return np.zeros(0)
     tau = model.schedule.tau
     mean_delay, _ = marginal_moments(model.link)
     ceiling = x_ceiling if x_ceiling is not None else 50.0 * tau + 20.0 * mean_delay

@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from aoi_lab import orthant, outputs
-from aoi_lab.errors import EvaluationError, QuadratureError
+from aoi_lab.errors import EvaluationError
 from aoi_lab.core import _checked_paths, arrival_counts, counts_above, decompose_time
 from aoi_lab.links import g_apply, g_inverse, marginal_moments
 from aoi_lab.orthant import OuChain, QuadratureSpec, std_normal_tail
@@ -90,7 +90,10 @@ def ou_orthant(a, rho: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
 
 class PhaseChain:
     """One phase's chain, stage by stage: orthant.OuChain as it was before
-    it took a batch axis, with the same stage rule, grids and banding."""
+    it took a batch axis, with the same stage rule, grids and banding, on
+    its own truncation [-L, L]: a threshold of L or more ends the chain."""
+
+    L = 8.0
 
     def __init__(self, rho: float, spec: QuadratureSpec = QuadratureSpec()):
         self.rho = float(rho)
@@ -101,27 +104,23 @@ class PhaseChain:
         self._nodes = self._weights = self._density = self._lo = None
 
     def extend(self, a: float) -> float:
-        spec = self.spec
-        if a >= spec.L:
-            raise QuadratureError(f"threshold {a} reaches L={spec.L}")
-        lo_new = max(float(a), -spec.L)
+        L = self.L
+        lo_new = max(float(a), -L)
         self.n += 1
-        if self.prob == 0.0:
+        if self.prob == 0.0 or a >= L:
+            self.prob = 0.0
             return 0.0
         if self.n == 1:
             tail = float(std_normal_tail(a))
             self.prob = tail
-            if tail < orthant._TINY_PROB:
-                self.prob = 0.0
-                return 0.0
-            nodes, weights = self._grid([lo_new, spec.L])
+            nodes, weights = self._grid([lo_new, L])
             density = orthant._std_normal_pdf(nodes) / tail
         else:
             breaks = [lo_new]
             edge = self.rho * self._lo
-            if lo_new + 1e-9 < edge < spec.L - 1e-9:
+            if lo_new + 1e-9 < edge < L - 1e-9:
                 breaks.append(edge)
-            breaks.append(spec.L)
+            breaks.append(L)
             nodes, weights = self._grid(breaks)
             raw = self._propagate(nodes)
             tail = min(max(float(weights @ raw), 0.0), 1.0)
@@ -163,15 +162,12 @@ class PhaseChain:
 
 def phase_profile(model, phi: float, n_max: int, spec: QuadratureSpec) -> np.ndarray:
     """Q_phi[0..n_max] of one phase by its own PhaseChain sweep, with the
-    engine's cut at a dead coordinate and its growth of L; rho in (0, 1)."""
+    engine's cut at a dead coordinate; rho in (0, 1)."""
     a = np.atleast_1d(g_inverse(model.link, np.arange(n_max) * model.schedule.tau + phi))
     q = np.zeros(n_max + 1)
     q[0] = 1.0
     dead = std_normal_tail(a) < 1e-15
     n_alive = int(np.argmax(dead)) if dead.any() else n_max
-    if n_alive > 0 and np.max(a[:n_alive]) >= spec.L:
-        grow = float(np.max(a[:n_alive])) + 4.0
-        spec = QuadratureSpec(m=int(math.ceil(spec.m * grow / spec.L)), L=grow)
     chain = PhaseChain(model.step_correlation(), spec)
     for j in range(n_alive):
         q[j + 1] = chain.extend(float(a[j]))

@@ -59,7 +59,7 @@ def report(capsys, name: str, passed: bool, detail: str = ""):
 def test_criterion_1_bivariate_closed_form(capsys):
     """Bivariate zero-threshold tails match 1/4 + arcsin(rho)/(2*pi) to
     1e-5 across rho = 0.1..0.9 at the default quadrature, within 1s."""
-    spec = QuadratureSpec(m=400, L=8.0)
+    spec = QuadratureSpec(m=400)
     start = time.time()
     worst = 0.0
     for rho in np.arange(0.1, 0.95, 0.1):

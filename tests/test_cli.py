@@ -26,6 +26,7 @@ from aoi_lab.cli import (
     main,
 )
 from aoi_lab.links import calibrate_kappa
+from aoi_lab.orthant import QuadratureSpec
 
 BASE_CONFIG = {
     "link": {"kind": "shifted-lognormal", "x_min": 0.5, "mu": 1.0, "s": 0.75},
@@ -102,6 +103,20 @@ class TestRunConfig:
         doc["quadrature"]["rule"] = "trapezoid"
         with pytest.raises(UsageError):
             RunConfig.from_dict(doc)
+
+    def test_fixed_quadrature_keys(self):
+        # The rule and the truncation half-width are accepted at their one
+        # value, and the dict form echoes L.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["quadrature"] = {"m": 64, "L": 8, "rule": "gauss-legendre"}
+        cfg = RunConfig.from_dict(doc)
+        assert cfg.quadrature() == QuadratureSpec(m=64)
+        assert cfg.to_dict()["quadrature"] == {"m": 64, "L": 8.0}
+        for key, value in [("rule", "trapezoid"), ("L", 5.0), ("L", "8")]:
+            bad = json.loads(json.dumps(doc))
+            bad["quadrature"][key] = value
+            with pytest.raises(UsageError, match=rf"'quadrature.{key}' must be"):
+                RunConfig.from_dict(bad)
 
     def test_every_field_has_one_config_key(self):
         names = [name for name, _ in cli._CONFIG_KEYS.values()]
@@ -479,6 +494,8 @@ class TestExitCodes:
             ("AOI_LAB_THREADS=0", "threads"),
             ("quadrature.m=0", "quadrature.m"),
             ("quadrature.L=2", "quadrature.L"),
+            ("quadrature.L=5", "quadrature.L"),
+            ("quadrature.L=1e300", "quadrature.L"),
             ("quadrature.L=inf", "quadrature.L"),
             ("t_grid.stop=inf", "t_grid"),
             ("t_grid.start=nan", "t_grid"),
@@ -547,6 +564,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert got == EXIT_USAGE
         assert "delta" in err
+        assert "Traceback" not in err
+
+    def test_bad_age_names_itself(self, config_path, tmp_path, capsys):
+        # Not the whole x grid.
+        got = main(["exact", "--config", config_path, "--out", str(tmp_path / "o"),
+                    "--set", "x_grid.start=-1"])
+        err = capsys.readouterr().err
+        assert got == EXIT_USAGE
+        assert "-1" in err and len(err.encode()) < 200
         assert "Traceback" not in err
 
     def test_non_object_config_is_usage_error(self, tmp_path):

@@ -504,11 +504,11 @@ class TestAoiSupport:
         assert sup.atoms[0] == pytest.approx(3.3, abs=1e-12)
 
     def test_matches_grid_plateaus_on_censored_link(self):
-        # The block at (t=3.5, x=3.6) has Gaussian threshold 5.8 > L = 4,
-        # so both routes must grow the quadrature rather than fail.
+        # The block at (t=3.5, x=3.6) has Gaussian threshold 5.8, deep in
+        # the tail, so both routes read a far plateau of one profile.
         model = gaussian_model(x_min=0.5, mu_hat=0.6, s_hat=0.5, tau=1.0,
                                link_kind=CENSORED_NORMAL, kappa=0.1)
-        spec = QuadratureSpec(m=64, L=4.0)
+        spec = QuadratureSpec(m=64)
         t, tau = 3.5, 1.0
         sup = aoi_support(model, t, spec)
         # One x inside each plateau ((n-1)*tau + phi, n*tau + phi), n = 1..4;

@@ -47,13 +47,12 @@ class TestStdNormalTail:
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.m == 400 and spec.L == 8.0
+        # m is the one field: the truncation half-width is orthant.L.
+        assert QuadratureSpec() == QuadratureSpec(m=400)
+        with pytest.raises(TypeError):
+            QuadratureSpec(L=8.0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"m": 8}, {"L": 2.0}, {"L": math.nan}, {"L": math.inf}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"m": 8}, {"m": 15}])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
@@ -89,16 +88,21 @@ class TestOuOrthant:
         padded = ou_orthant([-np.inf] + a + [-np.inf], 0.55)
         assert padded == pytest.approx(base, abs=1e-12)
 
-    def test_rejects_threshold_beyond_truncation(self):
-        with pytest.raises(QuadratureError):
-            ou_orthant([9.0], 0.5, QuadratureSpec(L=8.0))
+    def test_truncation_lies_past_the_dead_coordinate_cut(self):
+        # ccdf_profiles cuts every threshold whose tail is below
+        # _TAIL_FLOOR, so no threshold it passes reaches L.
+        assert std_normal_tail(orthant.L) < outputs._TAIL_FLOOR
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("a", [[8.0], [7.0, 8.0]])
-    def test_rejects_threshold_at_truncation(self, a):
-        # A threshold at L would leave a zero-width stage grid.
-        with pytest.raises(QuadratureError, match="enlarge L"):
-            ou_orthant(a, 0.5, QuadratureSpec(L=8.0))
+    def test_threshold_at_or_past_truncation_is_impossible(self):
+        # A threshold at L would leave a zero-width stage grid; at or past
+        # L its phase ends at exactly 0, as at +inf, and the others go on.
+        chain = OuChain(0.5)
+        got = chain.extend(np.array([0.0, 8.0, 9.0]))
+        assert got[0] == float(std_normal_tail(0.0)) and np.all(got[1:] == 0.0)
+        got = chain.extend(np.array([0.5, 0.0, 0.0]))
+        assert got[0] == ou_orthant([0.0, 0.5], 0.5) > 0.0 and np.all(got[1:] == 0.0)
+        assert ou_orthant([7.0, 8.0], 0.5) == 0.0
 
     def test_rejects_nan_threshold(self):
         with pytest.raises(ValueError):
@@ -141,11 +145,11 @@ class TestOuOrthant:
             prev = prev_new
 
     def test_hopeless_threshold_kills_chain(self):
-        # A threshold with marginal tail below double precision zeroes the
-        # joint probability for good.
-        chain = OuChain(0.5, QuadratureSpec(L=40.0))
-        chain.extend(0.0)
-        assert chain.extend(39.0) == 0.0
+        # A threshold at or past L zeroes a scalar chain's joint
+        # probability for good.
+        chain = OuChain(0.5)
+        assert chain.extend(0.0) > 0.0
+        assert chain.extend(9.0) == 0.0
         assert chain.extend(0.0) == 0.0
 
 
@@ -221,25 +225,21 @@ class TestBatchedChain:
     @pytest.mark.parametrize("rho,m", [(0.5, 64), (0.8746, 400), (0.993, 256), (1 - 1e-6, 400)])
     def test_matches_per_phase_chains(self, rho, m):
         # Eight phases in lockstep: one opens with two vacuous thresholds,
-        # one ends at its fourth stage (+inf), one dies at the first (at
-        # 1 - 1e-6, where L = 40 would take 113 000 nodes a stage, it is
-        # only tiny), and spans differ, so grids are padded.  At 1 - 1e-6
-        # the stages take banded blocks of rows.
+        # one ends at its fourth stage (+inf), one opens only just below L
+        # and ends at its second, at L, and spans differ, so grids are
+        # padded.  At 1 - 1e-6 the stages take banded blocks of rows.
         rng = np.random.Generator(np.random.Philox(7))
         a = np.sort(rng.uniform(-2.0, 2.0, size=(8, 6)), axis=1)
         a[0, :2] = -np.inf
         a[1, 3:] = np.inf
-        frozen = rho > 0.999
-        a[2, 0] = 7.9 if frozen else 38.0
-        spec = QuadratureSpec(m=m, L=8.0 if frozen else 40.0)
+        a[2, :2] = 7.9, 8.0
+        spec = QuadratureSpec(m=m)
         chain = OuChain(rho, spec)
         got = np.array([chain.extend(col) for col in a.T]).T
         for row, q in zip(a, got):
             ref = PhaseChain(rho, spec)
-            want = [ref.extend(x) if x < np.inf else 0.0 for x in row]
-            want = np.where(np.cumsum(row == np.inf) > 0, 0.0, want)
-            assert np.max(np.abs(q - want)) <= 1e-15
-        assert got[2, 0] < 1e-14 and (frozen or got[2, 0] == 0.0)
+            assert np.max(np.abs(q - [ref.extend(x) for x in row])) <= 1e-15
+        assert 0.0 < got[2, 0] < 1e-14 and np.all(got[2, 1:] == 0.0)
         assert np.all(got[1, 3:] == 0.0) and np.all(got[3:, -1] > 0.0)
 
     def test_rows_carry_their_own_rho(self):
@@ -252,16 +252,14 @@ class TestBatchedChain:
         a = np.sort(rng.uniform(-2.0, 2.0, size=(rhos.size, 5)), axis=1)
         a[1, 0] = -np.inf
         a[4, 3:] = np.inf
-        spec = QuadratureSpec(m=400, L=8.0)
+        spec = QuadratureSpec(m=400)
         chain = OuChain(rhos, spec)
         assert isinstance(chain.rho, float) and chain.rho == 1 - 1e-6
         got = np.array([chain.extend(col) for col in a.T]).T
         assert chain._nodes.shape[1] > 5_000
         for rho, row, q in zip(rhos, a, got):
             ref = PhaseChain(rho, spec)
-            want = [ref.extend(x) if x < np.inf else 0.0 for x in row]
-            want = np.where(np.cumsum(row == np.inf) > 0, 0.0, want)
-            assert np.max(np.abs(q - want)) <= 1e-15
+            assert np.max(np.abs(q - [ref.extend(x) for x in row])) <= 1e-15
         assert np.all(got[4, 3:] == 0.0) and np.all(np.delete(got, 4, axis=0)[:, -1] > 0.0)
 
     def test_mixed_batch_errors_name_the_row_and_its_rho(self):
@@ -315,11 +313,8 @@ class TestBatchedChain:
         assert np.all(chain.prob > 0.0)
 
     def test_errors_name_the_phase_in_the_batch(self):
-        # A threshold at L, and a stage past the node budget at rho =
-        # 1 - 1e-15: a span of 0.005 fits it, one of 8 does not.
-        with pytest.raises(QuadratureError, match="enlarge L") as info:
-            OuChain(0.5).extend(np.array([0.0, 8.0, 9.0]))
-        assert info.value.phase == 1
+        # A stage past the node budget at rho = 1 - 1e-15: a span of 0.005
+        # fits it, one of 8 does not.
         chain = OuChain(1 - 1e-15)
         with pytest.raises(QuadratureError, match="frozen") as info:
             chain.extend(np.array([7.995, np.inf, 0.0]))

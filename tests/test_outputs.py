@@ -86,17 +86,6 @@ class TestCcdfProfile:
                          QuadratureSpec())
         assert q[-1] == 0.0
 
-    @pytest.mark.filterwarnings("error")
-    def test_threshold_at_truncation_grows_it(self):
-        # This censored link's thresholds at phase 0 are 0, 1, 2, 3, 4: the
-        # last one lies exactly at L = 4.
-        link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
-        model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
-        q = ccdf_profile(model, 0.0, 5, QuadratureSpec(m=64, L=4.0))
-        ref = ccdf_profile(model, 0.0, 5, QuadratureSpec(m=400, L=8.0))
-        assert q[5] > 3e-6
-        assert q == pytest.approx(ref, rel=1e-7)
-
 
 class TestCcdfProfiles:
     """The batched profiles against each phase's own chain sweep."""
@@ -144,18 +133,6 @@ class TestCcdfProfiles:
         assert got[2, 1] == 0.0 and got[0, 1] == 1.0 and 0.0 < got[3, 1] < 1e-14
         assert np.all(got[:, 2:] == 0.0)
 
-    @pytest.mark.filterwarnings("error")
-    def test_phase_that_reaches_L_runs_on_its_own_grown_spec(self):
-        # At L = 4, phase 0's thresholds 0..4 reach L (grown to 8) and
-        # phase 0.5's 0.5..4.5 too (grown to 8.5); phase 0.3 stops at 2.3.
-        link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
-        model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
-        phases, n_max = [0.0, 0.3, 0.5], np.array([5, 3, 5])
-        spec = QuadratureSpec(m=64, L=4.0)
-        got = ccdf_profiles(model, phases, n_max, spec)
-        assert np.max(np.abs(got - self.per_phase(model, phases, n_max, spec))) <= 1e-15
-        assert got[0, 5] > 3e-6
-
     def test_near_frozen_batch_takes_banded_blocks(self):
         # rho = 1 - 1e-6: kernel-sized stages of about 22 600 nodes, cut
         # into blocks of rows with a band of nodes each.
@@ -188,22 +165,21 @@ class TestCcdfProfiles:
         for phi, row in zip([0.3, 0.7, 1.6], batch):
             assert np.max(np.abs(ccdf_profile(model, phi, 6, QuadratureSpec()) - row)) <= 1e-15
 
-    @pytest.mark.parametrize("case", ["readme", "grown"])
+    @pytest.mark.parametrize("case", ["readme", "censored"])
     def test_outputs_are_byte_identical_across_threads(self, monkeypatch, case):
         # README: a work array of 300 floats puts 3 phases of 100 nodes in
         # a batch: the grid's 4 phase classes take 2 chunks and the time
         # average's 36 phases 12, each kernel built one row at a time.
-        # Grown: at L = 4 the thresholds j + phi reach L from the fifth
-        # packet on, and a work array of 40 floats puts one phase of 40
+        # Censored: the thresholds j + phi are cut as dead coordinates
+        # past 7.94, and a work array of 40 floats puts one phase of 40
         # nodes in a batch, so each of the grid's 2 phase classes and the
-        # time average's 36 phases runs in a chunk of its own, on its own
-        # grown spec where its thresholds reach L.
+        # time average's 36 phases runs in a chunk of its own.
         if case == "readme":
             model, spec, work, size = make_model(), QuadratureSpec(), 300, 3
         else:
             link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
             model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
-            spec, work, size = QuadratureSpec(m=64, L=4.0), 40, 1
+            spec, work, size = QuadratureSpec(), 40, 1
         t_grid, x_grid = np.arange(0.5, 10.0, 0.5), np.arange(0.0, 10.0, 0.1)
 
         def run(threads):
@@ -286,21 +262,21 @@ class TestExactCcdfGrid:
                 assert grid.p[i, j] == table[row, n]
                 assert abs(grid.p[i, j] - phase_profile(model, phi, n, QuadratureSpec())[n]) <= 1e-15
 
-    @pytest.mark.parametrize("case", ["readme", "grown"])
+    @pytest.mark.parametrize("case", ["readme", "censored"])
     def test_ladder_in_one_sweep_matches_separate_grids(self, monkeypatch, case):
         # The ou ladder's rungs at rho 0.72, 0.85 and 0.92 (README) or 0.37,
-        # 0.61 and 0.78 (grown) advance through one chain.  At L = 4 the
-        # censored link's thresholds j + phi reach L, so rows of all three
-        # rungs share batches of grown specs.  The iid and frozen rungs take
-        # the closed forms, as they do alone.  A work array of three
-        # full-span rows at the largest rho (120 and 40 nodes) cuts the
-        # rows into chunks of three, which mix rungs, for the threads.
+        # 0.61 and 0.78 (censored) advance through one chain; the censored
+        # link's thresholds j + phi are cut as dead coordinates past 7.94.
+        # The iid and frozen rungs take the closed forms, as they do alone.
+        # A work array of three full-span rows at the largest rho (120 and
+        # 60 nodes) cuts the rows into chunks of three, which mix rungs,
+        # for the threads.
         if case == "readme":
             model, spec, work = make_model(), QuadratureSpec(), 360
         else:
             link = LinkFunction(CENSORED_NORMAL, 0.0, 0.0, 1.0)
             model = DelayModel(link, CorrelationMode("ou", kappa=0.5), GenerationSchedule(1.0))
-            spec, work = QuadratureSpec(m=64, L=4.0), 120
+            spec, work = QuadratureSpec(), 180
         t_grid, x_grid = np.arange(0.5, 10.0, 0.5), np.arange(0.0, 10.0, 0.1)
         ladder = [replace(model, correlation=corr) for _, corr in model.correlation.ladder()]
         whole = exact_ccdf_grid(ladder, t_grid, x_grid, spec)
@@ -431,6 +407,17 @@ class TestTimeAverage:
         for x in (math.nan, math.inf, -math.inf, [1.0, math.nan]):
             with pytest.raises(ValueError, match=r"^x must be finite and non-negative, got "):
                 TimeAverageEvaluator(make_model()).value(x)
+        # The first bad age is named, not the whole array.
+        with pytest.raises(ValueError, match=r"non-negative, got -1.0$"):
+            TimeAverageEvaluator(make_model()).value(np.arange(-1.0, 10.0, 0.02))
+
+    def test_empty_inputs_give_empty_outputs(self):
+        # As exact_ccdf_grid gives (0, n) and (n, 0) grids for empty axes.
+        model = make_model()
+        ev = TimeAverageEvaluator(model)
+        assert ev.value([]).shape == (0,)
+        assert percentiles(model, ()).shape == (0,)
+        assert percentiles(model, [], evaluator=ev).shape == (0,)
 
     def test_converges_in_chebyshev_degree(self, monkeypatch):
         # The README model (c = 10): the pieces' interpolants have converged
