@@ -83,6 +83,8 @@ class GridRange:
             raise UsageError(
                 f"grid has {self.size:.15g} points, over the limit of {_MAX_GRID_POINTS}"
             )
+        if self.start < 0:
+            raise UsageError(f"grid start must be >= 0, got {self.start}")
 
     @property
     def size(self) -> float:

@@ -4,7 +4,7 @@ A source emits packet n at time n*tau; packet n reaches the monitor after
 a delay D_n.  The age at time t is t minus the generation time of the
 newest packet that has arrived.  Writing t = k*tau + phi (decompose_time,
 for one time or a whole grid), the event {A_t > x} is {the n most recent
-packets are all late}, with n given by block_length; its probability is a
+packets are all late}, with n = k + 1 - ages_above; its probability is a
 plateau value of the phase profile computed in outputs.  This module holds
 that bookkeeping, the CCDF grid container and the simulator's kernels,
 which read one arrival table: per-path ages (aoi_path_matrix) and arrival
@@ -65,20 +65,25 @@ def decompose_time(t, tau: float):
     return (int(k), float(phi)) if ts.ndim == 0 else (k, phi)
 
 
-def block_length(x, phi, tau: float, k=None):
-    """Number n of most recent packets that must all be late for A > x at
-    phase phi: 0 below the phase (the event is certain), otherwise
-    floor((x - phi)/tau) + 1, capped at k + 1 (every packet generated by
-    t = k*tau + phi) when k is given.  x, phi and k broadcast; scalars give
-    an int, arrays an integer array."""
-    x, phi = np.asarray(x, dtype=float), np.asarray(phi, dtype=float)
-    n = np.where(x < phi, 0.0, np.floor((x - phi) / tau) + 1.0)
-    if k is not None:
-        n = np.minimum(n, np.asarray(k) + 1)
-    if not np.all(np.isfinite(n)):
-        raise ValueError("an infinite x needs the cap k")
-    n = n.astype(int)
-    return int(n) if n.ndim == 0 else n
+def ages_above(t_grid, x_grid, tau: float) -> np.ndarray:
+    """c[j, i] = #{L <= k_j : t_j - L*tau > x_i}, shape (len(t_grid),
+    len(x_grid)): the packets generated by t_j whose age, in floats as
+    aoi_path_matrix computes it, exceeds x_i (a tie does not).  The one
+    lattice rule of both grids: the exact block length is k_j + 1 - c."""
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    x = np.asarray(x_grid, dtype=float)
+    nan = np.flatnonzero(np.isnan(x))
+    if nan.size:
+        raise ValueError(f"x_grid must not hold NaN, got one at index {nan[0]}")
+    k = decompose_time(t, tau)[0]
+    # The ages fall as L grows, so c is the first L whose age is at most x.
+    # ceil((t - x)/tau) is within rounding of it; step it onto the ages.
+    c = np.clip(np.ceil((t - x) / tau), 0, k + 1)
+    while np.any(up := (c <= k) & (t - c * tau > x)):
+        c += up
+    while np.any(down := (c > 0) & (t - (c - 1) * tau <= x)):
+        c -= down
+    return c.astype(np.int64)
 
 
 def _checked_paths(
@@ -183,18 +188,12 @@ def counts_above(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per t, the paths of n_paths whose age exceeds each x, shape
     (len(t_grid), len(x_grid)), and the infinite ages, from their
-    arrival_counts C: C[L, j] - C[L + 1, j] paths have age t_j - L*tau, and
-    the infinite ages exceed every x but +inf."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
-    n_packets = arrived.shape[0] - 1
-    gen = np.arange(n_packets) * schedule.tau
+    arrival_counts C: C[0, j] - C[c, j] paths have a finite age above x,
+    with c from ages_above, and the infinite ages exceed every x but +inf."""
+    c = ages_above(t_grid, x_grid, schedule.tau)
     n_infinite = n_paths - arrived[0]
-    above = np.outer(n_infinite, x_grid < np.inf)
-    for j, t in enumerate(t_grid):
-        # The lattice ages t - L*tau in ascending order; n_above exceed x.
-        n_above = n_packets - np.searchsorted(t - gen[::-1], x_grid, side="right")
-        above[j] += arrived[0, j] - arrived[n_above, j]
+    above = np.outer(n_infinite, np.asarray(x_grid, dtype=float) < np.inf)
+    above += arrived[0][:, None] - np.take_along_axis(arrived.T, c, axis=1)
     return above, n_infinite
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .core import CcdfGrid, block_length, decompose_time
+from .core import CcdfGrid, ages_above, decompose_time
 from .errors import EvaluationError, QuadratureError
 from .links import DelayModel, _bisect, g_apply, g_inverse, marginal_moments
 from .orthant import OuChain, QuadratureSpec, batch_size, std_normal_tail
@@ -223,16 +223,13 @@ def exact_ccdf_grid(
         raise ValueError("exact_ccdf_grid needs at least one model")
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
-    nan = np.flatnonzero(np.isnan(x_grid))
-    if nan.size:
-        raise ValueError(f"x_grid must not hold NaN, got one at index {nan[0]}")
     if np.any(np.diff(t_grid) < 0) or np.any(np.diff(x_grid) < 0):
         raise ValueError("grids must be sorted ascending")
     tau = models[0].schedule.tau
     k, phi = decompose_time(t_grid, tau)
     keys, cls = np.unique([_phase_key(p, tau) for p in phi.tolist()], return_inverse=True)
-    # Every cell's block length at its phase class, and each class's longest.
-    n = block_length(x_grid, (keys[cls] * tau)[:, None], tau, k[:, None])
+    # Every cell's block length, and each phase class's longest.
+    n = k[:, None] + 1 - ages_above(t_grid, x_grid, tau)
     n_max = np.zeros(keys.size, dtype=int)
     np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
     rows = [m for m in models for _ in range(keys.size)]

@@ -575,6 +575,24 @@ class TestExitCodes:
         assert "-1" in err and len(err.encode()) < 200
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["t_grid", "x_grid"])
+    @pytest.mark.parametrize(
+        "command",
+        [["calibrate"], ["exact"], ["simulate"], ["compare"], ["sweep", "--param", "tau=2.0"]],
+        ids=["calibrate", "exact", "simulate", "compare", "sweep"],
+    )
+    def test_negative_grid_start_is_usage_error(self, config_path, tmp_path, capsys,
+                                                monkeypatch, command, key):
+        # Checked where the config is built, before any model is.
+        monkeypatch.setattr(RunConfig, "model", None)
+        got = main([*command, "--config", config_path, "--out", str(tmp_path / "o"),
+                    "--set", f"{key}.start=-1"])
+        err = capsys.readouterr().err
+        assert got == EXIT_USAGE
+        assert err.startswith("aoi-lab: usage error: ") and repr(key) in err
+        assert "grid start must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_non_object_config_is_usage_error(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -1,5 +1,5 @@
-"""Age-of-information bookkeeping: time decomposition, the block-length
-rule, atoms, and sample-path evaluation."""
+"""Age-of-information bookkeeping: time decomposition, the lattice rule,
+atoms, and sample-path evaluation."""
 
 import math
 
@@ -12,8 +12,8 @@ from aoi_lab import core
 from aoi_lab.core import (
     CcdfGrid,
     GenerationSchedule,
+    ages_above,
     aoi_path_matrix,
-    block_length,
     decompose_time,
 )
 from aoi_lab.links import (
@@ -37,9 +37,16 @@ def aoi_path(delays, schedule, t_grid):
 
 def theta(t, x, tau):
     """Index of the oldest packet whose arrival matters for Pr(A_t > x),
-    k_t + 1 - n with n the block length."""
-    k, phi = decompose_time(t, tau)
-    return k + 1 - block_length(x, phi, tau, k)
+    k_t + 1 - n with n the block length: the number of packets whose age
+    t - L*tau exceeds x."""
+    return int(ages_above([t], [x], tau)[0, 0])
+
+
+def lattice_count(t, x, tau):
+    """The packets generated by t whose float age exceeds x, counted one
+    age at a time."""
+    k = decompose_time(t, tau)[0]
+    return int(np.count_nonzero(t - np.arange(k + 1) * tau > x))
 
 
 def gaussian_model(kind="ou", x_min=0.5, mu_hat=-1.2824746787307684,
@@ -150,47 +157,52 @@ class TestTheta:
             assert got == max(0, math.ceil((t - x) / tau - 1e-9))
 
 
-def scalar_block_length(x, phi, tau, k=None):
-    """The block-length rule written out for one cell."""
-    if x < phi:
-        return 0
-    n = int(math.floor((x - phi) / tau)) + 1
-    return n if k is None else min(n, k + 1)
+class TestAgesAbove:
+    """The one lattice rule against a count of the float ages."""
 
-
-class TestBlockLength:
-    def test_scalar_returns_int(self):
-        assert type(block_length(3.4, 1.3, 2.0, 3)) is int
-        assert block_length(3.4, 1.3, 2.0) == 2
-
-    @pytest.mark.parametrize("k", [None, 0, 2, 5])
-    def test_array_matches_scalar_rule_cellwise(self, k):
+    @pytest.mark.parametrize("t_grid", [[7.3], [0.05, 0.3, 0.1 + 0.2, 0.45, 2.3, 6.0]])
+    def test_matches_the_age_count_cellwise(self, t_grid):
         tau = 0.5
-        # Below the phase, exactly on phi + j*tau, between lattice points,
-        # and far enough out that k + 1 caps the block.
-        phi = np.array([0.0, 0.1, 0.3, 0.45])
+        # Below the phase, on t - L*tau, between lattice points, and far
+        # enough out that k + 1 caps the count from either side.
         x = np.concatenate(
-            [[0.0, 0.05, 0.2999], 0.3 + tau * np.arange(4), [0.1 + 0.2, 1.37, 9.0]]
+            [[-1.0, 0.0, 0.05, 0.2999], 0.3 + tau * np.arange(4), [0.1 + 0.2, 1.37, 9.0]]
         )
-        n = block_length(x[None, :], phi[:, None], tau, k)
-        assert n.shape == (phi.size, x.size) and n.dtype.kind == "i"
-        expected = [[scalar_block_length(float(xv), float(p), tau, k) for xv in x] for p in phi]
-        assert n.tolist() == expected
-        assert 0 in expected[3] and (k is None or k + 1 in expected[0])
+        c = ages_above(t_grid, x, tau)
+        assert c.shape == (len(t_grid), x.size) and c.dtype == np.int64
+        assert c.tolist() == [[lattice_count(t, float(xv), tau) for xv in x] for t in t_grid]
 
-    def test_per_row_cap(self):
-        k = np.array([0, 1, 4])
-        n = block_length(np.array([0.5, 2.5, 6.5]), 0.5, 2.0, k[:, None])
-        assert n.tolist() == [[1, 1, 1], [1, 2, 2], [1, 2, 4]]
+    def test_infinite_x(self):
+        assert ages_above([7.3], [-math.inf, math.inf], 2.0).tolist() == [[4, 0]]
 
-    def test_infinite_x_needs_the_cap(self):
-        assert block_length(math.inf, 0.3, 2.0, 4) == 5
-        with pytest.raises(ValueError):
-            block_length(math.inf, 0.3, 2.0)
+    def test_empty_grids(self):
+        assert ages_above([0.1, 0.3], np.empty(0), 0.5).shape == (2, 0)
+        assert ages_above([], [0.5], 0.5).shape == (0, 1)
 
-    def test_empty_x_grid(self):
-        n = block_length(np.empty(0), np.array([[0.1], [0.3]]), 0.5, np.array([[1], [2]]))
-        assert n.shape == (2, 0) and n.dtype.kind == "i"
+    def test_names_a_nan(self):
+        with pytest.raises(ValueError, match="x_grid must not hold NaN, got one at index 1"):
+            ages_above([1.0], [0.5, math.nan], 0.5)
+
+    @given(
+        tau=st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.05]),
+        t_step=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.3, 0.5]),
+        t_index=st.lists(st.integers(0, 400), min_size=1, max_size=6),
+        x_step=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.3, 0.7]),
+        x_index=st.lists(st.integers(-20, 400), max_size=8),
+        tie=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 80)), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_lattices_match_the_age_count(self, tau, t_step, t_index, x_step,
+                                                  x_index, tie):
+        # Grids as GridRange.values builds them, x placed exactly on ages
+        # t - L*tau, and +-inf: binary-exact lattices hide the rounding of
+        # (x - phi)/tau that a decimal tau exposes.
+        t_grid = t_step * np.array(t_index)
+        ties = [t_grid[j % t_grid.size] - L * tau for j, L in tie]
+        x = np.concatenate([x_step * np.array(x_index, dtype=float), ties, [-np.inf, np.inf]])
+        c = ages_above(t_grid, x, tau)
+        want = [[lattice_count(float(t), float(xv), tau) for xv in x] for t in t_grid]
+        assert c.tolist() == want
 
 
 class TestAoiCcdfAgainstPaths:
@@ -214,7 +226,7 @@ class TestAoiCcdfAgainstPaths:
             assume(abs(x - (t - n * tau)) > 1e-9)
         schedule = GenerationSchedule(tau)
         k, phi = decompose_time(t, tau)
-        n = block_length(x, phi, tau, k)
+        n = k + 1 - theta(t, x, tau)
         all_late = all(delays[k - j] > j * tau + phi for j in range(n))
         age = aoi_path(delays, schedule, [t])[0]
         assert (age > x) == all_late
@@ -223,7 +235,7 @@ class TestAoiCcdfAgainstPaths:
         # Even instant delivery cannot beat age phi at t = 7.3: no packet
         # has to be late, and the age is never below 1.3.
         schedule = GenerationSchedule(2.0)
-        assert block_length(1.2999, 1.3, 2.0, 3) == 0
+        assert theta(7.3, 1.2999, 2.0) == 4
         assert aoi_path([0.0] * 4, schedule, [7.3])[0] > 1.2999
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoi_lab.cli import EXIT_USAGE, RunConfig, UsageError, main
-from aoi_lab.core import GenerationSchedule, block_length, decompose_time
+from aoi_lab.core import GenerationSchedule, ages_above, decompose_time
 from aoi_lab.errors import CalibrationError
 from aoi_lab.links import (
     CENSORED_NORMAL,
@@ -381,7 +381,7 @@ class TestThresholds:
         k, phi = decompose_time(7.3, 2.0)
         assert k == 3
         assert phi == pytest.approx(1.3, rel=1e-12)
-        n = block_length(3.4, phi, 2.0, k)
+        n = k + 1 - int(ages_above([7.3], [3.4], 2.0)[0, 0])
         assert n == 2
         q = ccdf_profile(model, phi, n, QuadratureSpec())
         assert q.shape == (n + 1,)

@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from aoi_lab import cli, orthant, outputs
 from aoi_lab.cli import RunConfig
-from aoi_lab.core import GenerationSchedule, block_length, decompose_time
+from aoi_lab.core import GenerationSchedule, aoi_path_matrix, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
@@ -232,12 +232,10 @@ class TestExactCcdfGrid:
             cell = grid.p[t_grid.index(t), x_grid.index(x)]
             assert cell == pytest.approx(direct, abs=1e-12)
 
-    def test_reads_the_phase_profiles(self, monkeypatch):
-        # Ascending t whose phases come out of order; 0.3, 0.1 + 0.2 and
-        # 0.8 - 0.5 round to one phase class and share one profile.
-        model = make_model(tau=0.5)
-        t_grid = np.array([0.05, 0.3, 0.1 + 0.2, 0.45, 0.8, 1.05, 1.6, 2.0, 2.3])
-        x_grid = np.sort(np.concatenate([[0.0, 0.1, 0.2, 1.37, 4.0], 0.3 + 0.5 * np.arange(6)]))
+    @staticmethod
+    def grid_and_profiles(monkeypatch, model, t_grid, x_grid):
+        """The exact grid, and the phases, lengths and profiles of its one
+        ccdf_profiles batch."""
         calls = []
         real = outputs.ccdf_profiles
 
@@ -250,17 +248,50 @@ class TestExactCcdfGrid:
         monkeypatch.undo()
         assert len(calls) == 1
         _, phis, n_max, spec = calls[0]
-        assert list(phis) == sorted(set(phis)) and len(phis) == 5
-        table = ccdf_profiles(model, phis, n_max, spec)
+        assert list(phis) == sorted(set(phis))
+        return grid, list(phis), n_max, ccdf_profiles(model, phis, n_max, spec)
+
+    def test_reads_the_phase_profiles(self, monkeypatch):
+        # Ascending t whose phases come out of order; 0.3, 0.1 + 0.2 and
+        # 0.8 - 0.5 round to one phase class and share one profile.
+        model = make_model(tau=0.5)
+        t_grid = np.array([0.05, 0.3, 0.1 + 0.2, 0.45, 0.8, 1.05, 1.6, 2.0, 2.3])
+        x_grid = np.sort(np.concatenate([[0.0, 0.1, 0.2, 1.37, 4.0], 0.3 + 0.5 * np.arange(6)]))
+        grid, phis, n_max, table = self.grid_and_profiles(monkeypatch, model, t_grid, x_grid)
+        assert len(phis) == 5
         for i, t in enumerate(t_grid):
             k, phi = decompose_time(float(t), 0.5)
             phi = outputs._phase_key(phi, 0.5) * 0.5
-            row = list(phis).index(phi)
+            row = phis.index(phi)
             for j, x in enumerate(x_grid):
-                n = block_length(float(x), phi, 0.5, k)
+                # The packets generated by t whose float age is at most x;
+                # at t = 0.1 + 0.2 the one age lies a rounding error above
+                # x = 0.3.
+                n = k + 1 - np.count_nonzero(t - np.arange(k + 1) * 0.5 > x)
                 assert n <= n_max[row]
                 assert grid.p[i, j] == table[row, n]
                 assert abs(grid.p[i, j] - phase_profile(model, phi, n, QuadratureSpec())[n]) <= 1e-15
+
+    @pytest.mark.parametrize("tau", [0.1, 0.3, 0.7])
+    def test_reads_the_simulated_ages_on_readme_grids(self, monkeypatch, tau):
+        # README's grids at a decimal tau, where (x - phi)/tau rounds across
+        # the lattice on some ties x = t - L*tau.  Path p's packets up to p
+        # arrive at once and the later ones never, so at t the paths report
+        # every lattice age t - L*tau, L <= k, as aoi_path_matrix computes
+        # it; every cell reads the profile entry of the ages at most x.
+        model = RunConfig(mu=1.0, s=0.75, c=10.0, tau=tau).model()
+        t_grid = 0.5 + 0.5 * np.arange(20)
+        x_grid = 0.02 * np.arange(501)
+        k, phi = decompose_time(t_grid, tau)
+        delays = 1e9 * np.triu(np.ones((k[-1] + 1, k[-1] + 1)), 1)
+        ages = aoi_path_matrix(delays, model.schedule, t_grid)
+        grid, phis, _, table = self.grid_and_profiles(monkeypatch, model, t_grid, x_grid)
+        for i in range(t_grid.size):
+            lattice = np.unique(ages[:, i])
+            assert lattice.size == k[i] + 1
+            c = np.count_nonzero(lattice[:, None] > x_grid, axis=0)
+            row = phis.index(outputs._phase_key(phi[i], tau) * tau)
+            assert grid.p[i].tobytes() == table[row, k[i] + 1 - c].tobytes()
 
     @pytest.mark.parametrize("case", ["readme", "censored"])
     def test_ladder_in_one_sweep_matches_separate_grids(self, monkeypatch, case):
