@@ -11,8 +11,9 @@ here reads and its one batched entry: it cuts the phases into chunks,
 runs them on the thread pool and sweeps each chunk's chain once, whose
 prefixes yield every block length.  Each row carries its own model, so
 models that share link and schedule share the sweep: a chain's rows carry
-their own rho, and OuChain.rho is the batch's largest.  Grid cells share
-one profile per phase class, and exact_ccdf_grid gives the grids of
+their own rho, and OuChain.rho is the batch's largest.  Grid cells whose
+phases agree to 10 decimals of tau share the profile at the phase
+decompose_time gave the first of them; exact_ccdf_grid gives the grids of
 several such models from one sweep.  The time average is the exact phase
 integral of the profiles: Chebyshev interpolants of Q_phi[n] on phase
 pieces split at x_min mod tau, integrated in closed form.  Percentiles
@@ -65,10 +66,6 @@ _GRADE_LEVELS = 2
 # bracket's midpoint, so every bracket at least halves, and the floats within
 # 16 ulps of its point, so a point that close to the root ends the search.
 _PROBE_ULPS = np.arange(-16.0, 17.0)
-
-
-def _phase_key(phi: float, tau: float) -> float:
-    return round(phi / tau, _PHASE_DECIMALS)
 
 
 def ccdf_profiles(
@@ -227,16 +224,18 @@ def exact_ccdf_grid(
         raise ValueError("grids must be sorted ascending")
     tau = models[0].schedule.tau
     k, phi = decompose_time(t_grid, tau)
-    keys, cls = np.unique([_phase_key(p, tau) for p in phi.tolist()], return_inverse=True)
+    # Each class is read at the phase decompose_time gave its first cell.
+    key = np.round(phi / tau, _PHASE_DECIMALS)
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
     # Every cell's block length, and each phase class's longest.
     n = k[:, None] + 1 - ages_above(t_grid, x_grid, tau)
-    n_max = np.zeros(keys.size, dtype=int)
+    n_max = np.zeros(first.size, dtype=int)
     np.maximum.at(n_max, cls, n.max(axis=1, initial=0))
-    rows = [m for m in models for _ in range(keys.size)]
+    rows = [m for m in models for _ in range(first.size)]
     table = ccdf_profiles(
-        rows, np.tile(keys * tau, len(models)), np.tile(n_max, len(models)), spec, threads
+        rows, np.tile(phi[first], len(models)), np.tile(n_max, len(models)), spec, threads
     )
-    table = table.reshape(len(models), keys.size, table.shape[1])
+    table = table.reshape(len(models), first.size, table.shape[1])
     # No age, not even the infinite one of a path with no arrival, exceeds +inf.
     grids = [
         CcdfGrid(t_grid, x_grid, np.where(x_grid < np.inf, q[cls[:, None], n], 0.0))

@@ -332,6 +332,24 @@ class TestCommands:
         assert report["z_fraction_within_3"] >= 0.99
         assert all(step["passed"] for step in report["dominance"])
 
+    @pytest.mark.parametrize("tau", ["0.6", "1.3"])
+    def test_compare_reads_the_censored_atom_at_its_cells_phases(self, tmp_path, capsys, tau):
+        # At these taus README's t = 0.5 has phase 0.5 = x_min, the censored
+        # delay's atom.  round(phi/tau, 10)*tau lies 2e-11 below it, on the
+        # atom's other side: a class read there gave exact cells of 0 or 1
+        # against the simulated 1 or 0, and a z of 5e299 through the
+        # floored standard error.
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        block = readme.split("Example config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        config = tmp_path / "readme.json"
+        config.write_text(block)
+        code = main(["compare", "--config", str(config), "--out", str(tmp_path / "c"),
+                     "--set", "link.kind=censored-normal", "--set", f"tau={tau}",
+                     "--set", "simulation.n_paths=20000", "--seed", "7"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK, report
+        assert report["max_z"] < 10
+
     @pytest.mark.parametrize("mode,calls", [("ou", 5), ("iid", 2), ("frozen", 2)])
     def test_compare_computes_each_ladder_grid_once(self, config_path, tmp_path,
                                                     monkeypatch, mode, calls):

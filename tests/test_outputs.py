@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from aoi_lab import cli, orthant, outputs
 from aoi_lab.cli import RunConfig
-from aoi_lab.core import GenerationSchedule, aoi_path_matrix, decompose_time
+from aoi_lab.core import GenerationSchedule, ages_above, aoi_path_matrix, decompose_time
 from aoi_lab.links import (
     CENSORED_NORMAL,
     SHIFTED_LOGNORMAL,
@@ -251,18 +251,30 @@ class TestExactCcdfGrid:
         assert list(phis) == sorted(set(phis))
         return grid, list(phis), n_max, ccdf_profiles(model, phis, n_max, spec)
 
+    @staticmethod
+    def class_row(phis, phi, tau):
+        """The row of the one batch phase within a rounding error of phi:
+        the phase decompose_time gave the first cell of phi's class."""
+        rows = [r for r, p in enumerate(phis) if abs(p - phi) <= 1e-9 * tau]
+        assert len(rows) == 1
+        return rows[0]
+
     def test_reads_the_phase_profiles(self, monkeypatch):
         # Ascending t whose phases come out of order; 0.3, 0.1 + 0.2 and
-        # 0.8 - 0.5 round to one phase class and share one profile.
+        # 0.8 - 0.5 round to one phase class and share the profile at 0.3,
+        # the phase of the class's first cell.
         model = make_model(tau=0.5)
         t_grid = np.array([0.05, 0.3, 0.1 + 0.2, 0.45, 0.8, 1.05, 1.6, 2.0, 2.3])
         x_grid = np.sort(np.concatenate([[0.0, 0.1, 0.2, 1.37, 4.0], 0.3 + 0.5 * np.arange(6)]))
         grid, phis, n_max, table = self.grid_and_profiles(monkeypatch, model, t_grid, x_grid)
         assert len(phis) == 5
+        seen = set()
         for i, t in enumerate(t_grid):
             k, phi = decompose_time(float(t), 0.5)
-            phi = outputs._phase_key(phi, 0.5) * 0.5
-            row = phis.index(phi)
+            row = self.class_row(phis, phi, 0.5)
+            assert row in seen or phis[row] == phi
+            seen.add(row)
+            phi = phis[row]
             for j, x in enumerate(x_grid):
                 # The packets generated by t whose float age is at most x;
                 # at t = 0.1 + 0.2 the one age lies a rounding error above
@@ -290,8 +302,32 @@ class TestExactCcdfGrid:
             lattice = np.unique(ages[:, i])
             assert lattice.size == k[i] + 1
             c = np.count_nonzero(lattice[:, None] > x_grid, axis=0)
-            row = phis.index(outputs._phase_key(phi[i], tau) * tau)
+            row = self.class_row(phis, phi[i], tau)
             assert grid.p[i].tobytes() == table[row, k[i] + 1 - c].tobytes()
+
+    @pytest.mark.parametrize("tau", [0.1, 0.2, 0.3, 0.6, 0.7, 0.9, 1.1, 1.3, 1.7, 1.9])
+    def test_reads_each_cell_at_a_phase_of_its_class(self, tau):
+        # Twelve t grids per tau, each read against the profile at every
+        # cell's own decompose_time phase and block length.  A class read at
+        # round(phi/tau, 10)*tau, a phase no cell has, is up to 1.7e-10 off.
+        x_grid = 0.02 * np.arange(501)
+        spec = QuadratureSpec(m=64)
+        steps, starts = [0.05, 0.1, 0.2, 0.3, 0.5, tau], [0.0, 0.05, 0.1, 0.5]
+        cases = list(product(steps, starts, [0.5, 3.0, 10.0]))
+        rng = np.random.default_rng(round(tau * 10))
+        for i in rng.choice(len(cases), 12, replace=False):
+            step, start, c = cases[i]
+            t_grid = start + step * np.arange(math.floor((12.0 - start) / step + 1e-9) + 1)
+            model = RunConfig(mu=1.0, s=0.75, c=c, tau=tau).model()
+            grid = exact_ccdf_grid(model, t_grid, x_grid, spec)
+            k, phi = decompose_time(t_grid, tau)
+            own, inv = np.unique(phi, return_inverse=True)
+            n_own = np.zeros(own.size, dtype=int)
+            np.maximum.at(n_own, inv, k + 1)
+            table = ccdf_profiles(model, own, n_own, spec)[inv]
+            n = k[:, None] + 1 - ages_above(t_grid, x_grid, tau)
+            err = np.max(np.abs(grid.p - np.take_along_axis(table, n, axis=1)))
+            assert err <= 1e-13, (step, start, c)
 
     @pytest.mark.parametrize("case", ["readme", "censored"])
     def test_ladder_in_one_sweep_matches_separate_grids(self, monkeypatch, case):
